@@ -7,12 +7,12 @@
 //   micro_la                  eigensolver + GEMM harness, all google-benchmarks
 //   micro_la --smoke          harness only, reduced sizes, asserts that the
 //                             block solver needs fewer operator sweeps AND
-//                             that the measured auto-policy's choice never
-//                             costs more than 1.15x the single-vector wall
-//                             time (CI gate)
-//   micro_la --json=FILE      write the eigensolver harness results (policy
-//                             probes, skinny-SpMM sweep, per-shape legs and
-//                             policy decisions) as JSON
+//                             that the shape rule's choice never costs more
+//                             than 1.15x the single-vector wall time (CI
+//                             gate)
+//   micro_la --json=FILE      write the eigensolver harness results
+//                             (skinny-SpMM sweep, per-shape legs and the
+//                             shape rule's decisions) as JSON
 //   micro_la --gemm-json=FILE write the GEMM sweep (scalar-forced vs SIMD)
 //                             + the Lanczos wall-time ratios as JSON
 //   micro_la --harness-only   skip the google-benchmark suite
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/laplacian.h"
 #include "la/gemm_kernel.h"
@@ -174,10 +175,10 @@ struct EigBenchRow {
   double spmm_seconds = 0.0;      // one width-c SpMM
   SolverLeg single_leg;
   SolverLeg block_leg;
-  bool auto_block = false;  // the measured policy's choice at this shape
-  // Wall-time cost of the auto-policy's choice relative to the best
-  // single-vector leg: block/single when the policy picks block, 1.0 when
-  // it picks (i.e. yields to) single. ≤ 1 means auto never loses.
+  bool auto_block = false;  // la::ResolveEigensolveMode's kAuto choice
+  // Wall-time cost of the kAuto choice relative to the best single-vector
+  // leg: block/single when the rule picks block, 1.0 when it picks single.
+  // ≤ 1 means auto never loses.
   double AutoTimeRatio() const {
     return auto_block ? block_leg.seconds / single_leg.seconds : 1.0;
   }
@@ -283,7 +284,9 @@ EigBenchRow RunEigBenchPoint(const EigBenchPoint& point, std::size_t repeats) {
       row.block_leg = {sec, sweeps, matvecs};
     }
   }
-  row.auto_block = la::EigensolvePolicy::Get().PreferBlock(point.n, point.c);
+  row.auto_block = la::ResolveEigensolveMode(la::EigensolveMode::kAuto,
+                                             point.n, point.c) ==
+                   la::EigensolveMode::kForceBlock;
   return row;
 }
 
@@ -349,19 +352,9 @@ void WriteEigBenchJson(const std::vector<EigBenchRow>& rows,
                        const std::string& path) {
   std::ofstream out(path);
   out << "{\n  \"benchmark\": \"eigensolver\",\n  \"tolerance\": 3e-06,\n"
-      << "  \"policy_probes\": [\n";
-  const auto& probes = la::EigensolvePolicy::Get().probes();
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    const la::EigensolvePolicy::Probe& p = probes[i];
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"n\": %zu, \"c\": %zu, \"block_seconds\": %.6e,"
-                  " \"single_seconds\": %.6e}%s\n",
-                  p.n, p.c, p.block_seconds, p.single_seconds,
-                  i + 1 < probes.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"skinny_spmm\": [\n";
+      << "  \"host\": {\"nproc\": " << HardwareThreads()
+      << ", \"simd_backend\": \"" << la::kernel::ActiveBackendName()
+      << "\"},\n  \"skinny_spmm\": [\n";
   for (std::size_t i = 0; i < skinny.size(); ++i) {
     const SkinnyRow& s = skinny[i];
     char buf[256];
@@ -405,15 +398,15 @@ void WriteEigBenchJson(const std::vector<EigBenchRow>& rows,
 
 // Returns the number of gate violations (0 = the perf claims hold): the
 // block solver must need fewer operator sweeps than the single-vector
-// solver at every shape, and the auto-policy's choice must not cost more
+// solver at every shape, and the shape rule's choice must not cost more
 // than 1.15× the single-vector wall time anywhere (time_ratio is 1.0 by
-// definition where the policy yields to single — the gate catches the
-// policy picking block where block loses). Appends the measured rows to
+// definition where the rule picks single — the gate catches the rule
+// picking block where block loses). Appends the measured rows to
 // *out_rows.
 int RunEigensolverComparison(bool smoke, std::vector<EigBenchRow>* out_rows) {
   // The paper's benchmark (n, c) shapes (Table 1); smoke keeps the small
   // ones plus ORL — the c = 40 shape where block wall time historically
-  // regressed, so CI watches the auto-policy time ratio there too.
+  // regressed, so CI watches the shape rule's time ratio there too.
   std::vector<EigBenchPoint> points = {
       {"3-Sources", 169, 6}, {"MSRC-v1", 210, 7},  {"ORL", 400, 40},
       {"BBCSport", 544, 5},  {"Handwritten", 2000, 10},
@@ -421,18 +414,8 @@ int RunEigensolverComparison(bool smoke, std::vector<EigBenchRow>* out_rows) {
   if (smoke) points.resize(3);
   const std::size_t repeats = smoke ? 1 : 3;
 
-  // Calibrate the policy before the timed legs so its probe solves don't
-  // land inside them.
-  const auto& probes = la::EigensolvePolicy::Get().probes();
-  std::printf("eigensolve policy probes (block[s] / single[s]):\n");
-  for (const la::EigensolvePolicy::Probe& p : probes) {
-    std::printf("  n=%-4zu c=%-3zu %.3e / %.3e = %.2f\n", p.n, p.c,
-                p.block_seconds, p.single_seconds,
-                p.block_seconds / p.single_seconds);
-  }
-
   std::printf(
-      "\neigensolver: single-vector vs block Lanczos (tolerance 3e-06)\n"
+      "eigensolver: single-vector vs block Lanczos (tolerance 3e-06)\n"
       "%-12s %6s %4s | %10s %10s %7s | %8s %8s %8s %8s | %6s %7s\n",
       "dataset", "n", "c", "spmv-c[s]", "spmm[s]", "speedup", "sv-sweep",
       "blk-sweep", "ratio", "blk/sv", "policy", "t-ratio");
@@ -459,7 +442,7 @@ int RunEigensolverComparison(bool smoke, std::vector<EigBenchRow>* out_rows) {
     if (row.AutoTimeRatio() > 1.15) {
       ++violations;
       std::fprintf(stderr,
-                   "FAIL: auto-policy picked block at %s (n=%zu, c=%zu) where "
+                   "FAIL: shape rule picked block at %s (n=%zu, c=%zu) where "
                    "it costs %.2fx single-vector (gate: 1.15x)\n",
                    row.point.dataset, row.point.n, row.point.c,
                    row.AutoTimeRatio());

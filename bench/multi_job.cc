@@ -8,18 +8,14 @@
 //   - StageCache: the ~11 jobs sharing a (dataset, seed) compute the
 //     simulation and graph construction ONCE — 66–87% of per-job cost on
 //     these shapes — instead of once per cell;
-//   - per-worker arenas/scratch (reuse_worker_state): iteration
-//     temporaries are allocated once per worker, not once per job (the
-//     no-arena leg releases everything between jobs for the A/B);
-//   - CrossJobBatcher: R-step Procrustes solves rendezvous across jobs;
+//   - per-worker scratch: iteration temporaries are allocated once per
+//     worker, not once per job;
 //   - two-level scheduling: each job declares a thread budget and its
 //     nested ParallelFor calls partition over that budget.
 //
 // The determinism gate runs before any number is reported: per-job labels
 // and final objectives must be bitwise identical to the serial loop at
-// worker counts {1, 2, 8} AND under reversed submission order. Peak RSS
-// is sampled after each leg (the getrusage watermark only grows, so legs
-// are ordered arena → no-arena → baseline and attributed by deltas).
+// worker counts {1, 2, 8} AND under reversed submission order.
 //
 //   ./multi_job [--smoke] [--json=PATH]        (default BENCH_jobs.json)
 //
@@ -34,11 +30,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "exec/executor.h"
-#include "la/lanczos.h"
+#include "la/gemm_kernel.h"
 #include "mvsc/graphs.h"
 #include "mvsc/unified.h"
 
@@ -112,34 +109,27 @@ JobOutput SolveOne(const SweepJob& job, const SweepStage& stage,
 struct LegStats {
   std::string name;
   std::size_t workers = 0;  ///< 0 = serial loop (no executor)
-  bool arena = true;
   bool reversed = false;
   double seconds = 0.0;
   double jobs_per_sec = 0.0;
   bool parity = true;  ///< vs the serial baseline (filled after it runs)
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  std::size_t batch_requests = 0;
-  std::size_t batch_dispatches = 0;
-  std::size_t batch_max = 0;
-  std::size_t rss_after_kb = 0;
   std::vector<JobOutput> outputs;
 };
 
 LegStats RunExecutorLeg(const std::string& name,
                         const std::vector<SweepJob>& jobs, double scale,
-                        std::size_t workers, bool reuse_state,
-                        bool reversed, std::size_t thread_budget) {
+                        std::size_t workers, bool reversed,
+                        std::size_t thread_budget) {
   LegStats leg;
   leg.name = name;
   leg.workers = workers;
-  leg.arena = reuse_state;
   leg.reversed = reversed;
   leg.outputs.resize(jobs.size());
 
   umvsc::exec::JobExecutor::Options eopts;
   eopts.num_workers = workers;
-  eopts.reuse_worker_state = reuse_state;
   umvsc::exec::JobExecutor executor(eopts);
 
   Stopwatch watch;
@@ -173,11 +163,6 @@ LegStats RunExecutorLeg(const std::string& name,
                          : 0.0;
   leg.cache_hits = executor.stages().hits();
   leg.cache_misses = executor.stages().misses();
-  const umvsc::exec::CrossJobBatcher::Stats batch = executor.batcher_stats();
-  leg.batch_requests = batch.requests;
-  leg.batch_dispatches = batch.dispatches;
-  leg.batch_max = batch.max_batch;
-  leg.rss_after_kb = PeakRssKb();
   return leg;
 }
 
@@ -185,7 +170,6 @@ LegStats RunSerialBaseline(const std::vector<SweepJob>& jobs, double scale) {
   LegStats leg;
   leg.name = "serial_loop";
   leg.workers = 0;
-  leg.arena = false;
   leg.outputs.resize(jobs.size());
   Stopwatch watch;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -203,7 +187,6 @@ LegStats RunSerialBaseline(const std::vector<SweepJob>& jobs, double scale) {
   leg.jobs_per_sec = leg.seconds > 0.0
                          ? static_cast<double>(jobs.size()) / leg.seconds
                          : 0.0;
-  leg.rss_after_kb = PeakRssKb();
   return leg;
 }
 
@@ -265,34 +248,21 @@ int main(int argc, char** argv) {
   }
   if (jobs.size() > job_cap) jobs.resize(job_cap);
 
-  // The eigensolver auto-policy calibrates on first use (timed probes,
-  // ~0.2s); trigger it before anything is on the clock so the first leg
-  // isn't charged for it.
-  la::EigensolvePolicy::Get();
-
   const std::size_t budget = 1;  // per-job nested-parallelism budget
   std::printf("multi_job (%s): %zu jobs, scale %.2f, %zu seeds\n",
               smoke ? "smoke" : "full", jobs.size(), scale, seeds);
 
-  // Arena legs first, no-arena next, serial last: the RSS watermark only
-  // grows, so each leg's figure is uncontaminated by later legs.
   std::vector<LegStats> legs;
   if (smoke) {
-    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true,
-                                  true, budget));
+    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, false, budget));
+    legs.push_back(
+        RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true, budget));
   } else {
-    legs.push_back(RunExecutorLeg("exec_w1", jobs, scale, 1, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w8", jobs, scale, 8, true, false,
-                                  budget));
-    legs.push_back(RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true,
-                                  true, budget));
-    legs.push_back(RunExecutorLeg("exec_w2_noarena", jobs, scale, 2, false,
-                                  false, budget));
+    legs.push_back(RunExecutorLeg("exec_w1", jobs, scale, 1, false, budget));
+    legs.push_back(RunExecutorLeg("exec_w2", jobs, scale, 2, false, budget));
+    legs.push_back(RunExecutorLeg("exec_w8", jobs, scale, 8, false, budget));
+    legs.push_back(
+        RunExecutorLeg("exec_w2_reversed", jobs, scale, 2, true, budget));
   }
   LegStats baseline = RunSerialBaseline(jobs, scale);
 
@@ -311,17 +281,13 @@ int main(int argc, char** argv) {
           : 0.0;
 
   for (const LegStats& leg : legs) {
-    std::printf(
-        "  %-18s: %6.2fs  %6.2f jobs/s  parity %s  cache %zu/%zu  "
-        "batch %zu req %zu disp (max %zu)  rss %zu KB\n",
-        leg.name.c_str(), leg.seconds, leg.jobs_per_sec,
-        leg.parity ? "ok" : "MISMATCH", leg.cache_hits, leg.cache_misses,
-        leg.batch_requests, leg.batch_dispatches, leg.batch_max,
-        leg.rss_after_kb);
+    std::printf("  %-18s: %6.2fs  %6.2f jobs/s  parity %s  cache %zu/%zu\n",
+                leg.name.c_str(), leg.seconds, leg.jobs_per_sec,
+                leg.parity ? "ok" : "MISMATCH", leg.cache_hits,
+                leg.cache_misses);
   }
-  std::printf("  %-18s: %6.2fs  %6.2f jobs/s  rss %zu KB\n",
-              baseline.name.c_str(), baseline.seconds,
-              baseline.jobs_per_sec, baseline.rss_after_kb);
+  std::printf("  %-18s: %6.2fs  %6.2f jobs/s\n", baseline.name.c_str(),
+              baseline.seconds, baseline.jobs_per_sec);
   std::printf("  speedup vs serial loop (exec_w2): %.2fx   parity: %s\n",
               speedup, parity_all ? "identical" : "MISMATCH");
 
@@ -331,6 +297,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"multi_job\",\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f,
+                 "  \"host\": {\"nproc\": %zu, \"simd_backend\": \"%s\"},\n",
+                 HardwareThreads(), la::kernel::ActiveBackendName());
+    std::fprintf(f,
                  "  \"sweep\": {\"jobs\": %zu, \"scale\": %.2f, \"seeds\": "
                  "%zu, \"datasets\": [\"MSRC-v1\", \"Handwritten\", "
                  "\"3-Sources\"], \"thread_budget\": %zu},\n",
@@ -339,24 +308,19 @@ int main(int argc, char** argv) {
     for (const LegStats& leg : legs) {
       std::fprintf(
           f,
-          "    {\"leg\": \"%s\", \"workers\": %zu, \"arena\": %s, "
-          "\"order\": \"%s\", \"seconds\": %.4f, \"jobs_per_sec\": %.3f, "
-          "\"parity\": %s, \"stage_cache\": {\"hits\": %zu, \"misses\": "
-          "%zu}, \"batcher\": {\"requests\": %zu, \"dispatches\": %zu, "
-          "\"max_batch\": %zu}, \"rss_after_kb\": %zu},\n",
-          leg.name.c_str(), leg.workers, leg.arena ? "true" : "false",
+          "    {\"leg\": \"%s\", \"workers\": %zu, \"order\": \"%s\", "
+          "\"seconds\": %.4f, \"jobs_per_sec\": %.3f, \"parity\": %s, "
+          "\"stage_cache\": {\"hits\": %zu, \"misses\": %zu}},\n",
+          leg.name.c_str(), leg.workers,
           leg.reversed ? "reversed" : "forward", leg.seconds,
           leg.jobs_per_sec, leg.parity ? "true" : "false", leg.cache_hits,
-          leg.cache_misses, leg.batch_requests, leg.batch_dispatches,
-          leg.batch_max, leg.rss_after_kb);
+          leg.cache_misses);
     }
     std::fprintf(f,
-                 "    {\"leg\": \"serial_loop\", \"workers\": 0, \"arena\": "
-                 "false, \"order\": \"forward\", \"seconds\": %.4f, "
-                 "\"jobs_per_sec\": %.3f, \"parity\": true, \"rss_after_kb\""
-                 ": %zu}\n  ],\n",
-                 baseline.seconds, baseline.jobs_per_sec,
-                 baseline.rss_after_kb);
+                 "    {\"leg\": \"serial_loop\", \"workers\": 0, \"order\": "
+                 "\"forward\", \"seconds\": %.4f, \"jobs_per_sec\": %.3f, "
+                 "\"parity\": true}\n  ],\n",
+                 baseline.seconds, baseline.jobs_per_sec);
     std::fprintf(f, "  \"speedup_vs_serial\": %.3f,\n", speedup);
     std::fprintf(f, "  \"parity_all\": %s,\n",
                  parity_all ? "true" : "false");

@@ -176,18 +176,6 @@ int main(int argc, char** argv) {
     slope_floor = 100000;  // the top decade: 10⁵ … 10⁶
   }
 
-  // Untimed warmup so the measured EigensolvePolicy calibrates outside any
-  // timed leg (the calibration probe runs once per process).
-  {
-    data::MultiViewDataset warm = MakeDataset(2000);
-    auto result = mvsc::UnifiedMVSC(BaseOptions(true)).Run(warm);
-    if (!result.ok()) {
-      std::fprintf(stderr, "scale_sweep: warmup failed: %s\n",
-                   result.status().message().c_str());
-      return 1;
-    }
-  }
-
   std::printf("Anchor-path scale sweep%s (m=256, s=5, c=5, V=2)\n",
               smoke ? " [smoke]" : "");
   std::printf("%9s %12s %10s %12s %12s %10s\n", "n", "anchor sec",

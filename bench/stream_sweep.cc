@@ -241,16 +241,6 @@ int main(int argc, char** argv) {
     cfg.speedup_floor = 2.0;  // small windows blunt the asymptotic gap
   }
 
-  // Untimed warmup: calibrate the measured EigensolvePolicy outside the
-  // timed legs (the probe runs once per process).
-  {
-    SweepConfig warm_cfg = cfg;
-    warm_cfg.batch_size = 1000;
-    warm_cfg.num_batches = 1;
-    warm_cfg.window = 1000;
-    RunPass(warm_cfg, /*oracle=*/false);
-  }
-
   std::printf("Streaming drift sweep%s (window=%zu, batch=%zu, %zu batches, "
               "drift %.2f from batch %zu)\n",
               smoke ? " [smoke]" : "", cfg.window, cfg.batch_size,

@@ -1,48 +1,46 @@
-// Large-scale single-view clustering with the Nyström approximation:
-// exact spectral clustering needs the eigenvectors of an n × n matrix
-// (O(n³) dense, O(n·nnz·m) sparse); the Nyström path approximates them
-// from an n × m slice, clustering tens of thousands of points in seconds
-// on one core. This example compares exact sparse spectral clustering and
-// Nyström on growing problem sizes.
+// Large-scale multi-view clustering with the anchor mode of UnifiedMVSC:
+// the exact solver builds an n × n k-NN graph per view (O(n²·d) to
+// construct), while anchor mode summarizes each view by m anchors and runs
+// every eigensolve and every F/R/α update in the m-dimensional space the
+// bipartite n × m affinities span — per-point cost stays flat as n grows.
+// This example compares the two on growing problem sizes.
 //
 //   ./large_scale [max_n]
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "cluster/kmeans.h"
-#include "cluster/nystrom.h"
-#include "cluster/spectral.h"
-#include "common/rng.h"
 #include "common/stopwatch.h"
+#include "data/synthetic.h"
 #include "eval/metrics.h"
-#include "graph/distance.h"
-#include "graph/kernels.h"
-#include "graph/knn_graph.h"
+#include "mvsc/unified.h"
 
 namespace {
 
 using namespace umvsc;
 
-struct Blobs {
-  la::Matrix data;
-  std::vector<std::size_t> labels;
+struct Run {
+  double seconds = -1.0;
+  double accuracy = -1.0;
 };
 
-Blobs MakeBlobs(std::size_t n, std::size_t k, std::uint64_t seed) {
-  Rng rng(seed);
-  Blobs blobs;
-  blobs.data = la::Matrix(n, 4);
-  blobs.labels.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = i % k;
-    blobs.labels[i] = c;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double center = (j == c % 4) ? 6.0 * (1.0 + c / 4) : 0.0;
-      blobs.data(i, j) = rng.Gaussian(center, 0.6);
-    }
+Run Solve(const data::MultiViewDataset& dataset,
+          const mvsc::UnifiedOptions& options) {
+  Run run;
+  Stopwatch watch;
+  StatusOr<mvsc::UnifiedResult> result =
+      mvsc::UnifiedMVSC(options).Run(dataset);
+  if (!result.ok()) {
+    std::fprintf(stderr, "n=%zu %s: %s\n", dataset.NumSamples(),
+                 options.anchors.enabled ? "anchor" : "exact",
+                 result.status().ToString().c_str());
+    return run;
   }
-  return blobs;
+  run.seconds = watch.ElapsedSeconds();
+  StatusOr<double> acc =
+      eval::ClusteringAccuracy(result->labels, dataset.labels);
+  run.accuracy = acc.ok() ? *acc : -1.0;
+  return run;
 }
 
 }  // namespace
@@ -52,63 +50,49 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20000;
   const std::size_t k = 5;
 
-  std::printf("%-8s %16s %10s %16s %10s\n", "n", "exact SC [s]", "ACC",
-              "Nystrom [s]", "ACC");
+  mvsc::UnifiedOptions exact;
+  exact.num_clusters = k;
+  exact.seed = 2;
+  mvsc::UnifiedOptions anchor = exact;
+  anchor.anchors.enabled = true;
+  anchor.anchors.num_anchors = 256;  // m, regardless of n
+
+  std::printf("%-8s %16s %10s %16s %10s\n", "n", "exact [s]", "ACC",
+              "anchor [s]", "ACC");
   for (std::size_t n = 1000; n <= max_n; n *= 4) {
-    Blobs blobs = MakeBlobs(n, k, 7);
-
-    // Exact path (kNN graph + sparse Lanczos + K-means) — only attempted
-    // while the O(n²·d) graph construction stays affordable.
-    double exact_seconds = -1.0, exact_acc = -1.0;
-    if (n <= 8000) {
-      Stopwatch watch;
-      la::Matrix sq = graph::PairwiseSquaredDistances(blobs.data);
-      auto kernel = graph::SelfTuningKernel(sq, 10);
-      if (kernel.ok()) {
-        auto w = graph::BuildKnnGraph(*kernel, 10);
-        if (w.ok()) {
-          auto f = cluster::SpectralEmbeddingSparse(*w, k, true);
-          if (f.ok()) {
-            cluster::KMeansOptions km;
-            km.num_clusters = k;
-            km.seed = 1;
-            auto clustered = cluster::KMeans(*f, km);
-            if (clustered.ok()) {
-              exact_seconds = watch.ElapsedSeconds();
-              auto acc =
-                  eval::ClusteringAccuracy(clustered->labels, blobs.labels);
-              exact_acc = acc.ok() ? *acc : -1.0;
-            }
-          }
-        }
-      }
-    }
-
-    // Nyström path: m = 200 landmarks regardless of n.
-    Stopwatch watch;
-    cluster::NystromOptions options;
-    options.num_clusters = k;
-    options.landmarks = 200;
-    options.seed = 2;
-    auto nystrom = cluster::NystromSpectralClustering(blobs.data, options);
-    if (!nystrom.ok()) {
-      std::fprintf(stderr, "n=%zu nystrom: %s\n", n,
-                   nystrom.status().ToString().c_str());
+    data::MultiViewConfig config;
+    config.name = "large_scale";
+    config.num_samples = n;
+    config.num_clusters = k;
+    config.cluster_separation = 6.0;
+    config.views = {{8, data::ViewQuality::kInformative, 1.0},
+                    {6, data::ViewQuality::kWeak, 1.0}};
+    config.seed = 7;
+    StatusOr<data::MultiViewDataset> dataset =
+        data::MakeGaussianMultiView(config);
+    if (!dataset.ok()) {
+      std::fprintf(stderr, "dataset: %s\n",
+                   dataset.status().ToString().c_str());
       return 1;
     }
-    const double nystrom_seconds = watch.ElapsedSeconds();
-    auto nystrom_acc = eval::ClusteringAccuracy(nystrom->labels, blobs.labels);
 
-    if (exact_seconds >= 0.0) {
-      std::printf("%-8zu %16.2f %10.3f %16.2f %10.3f\n", n, exact_seconds,
-                  exact_acc, nystrom_seconds,
-                  nystrom_acc.ok() ? *nystrom_acc : -1.0);
+    // The exact path only while its quadratic graph construction stays
+    // affordable.
+    const Run exact_run = n <= 4000 ? Solve(*dataset, exact) : Run();
+    const Run anchor_run = Solve(*dataset, anchor);
+    if (anchor_run.seconds < 0.0) return 1;
+
+    if (exact_run.seconds >= 0.0) {
+      std::printf("%-8zu %16.2f %10.3f %16.2f %10.3f\n", n, exact_run.seconds,
+                  exact_run.accuracy, anchor_run.seconds,
+                  anchor_run.accuracy);
     } else {
       std::printf("%-8zu %16s %10s %16.2f %10.3f\n", n, "(skipped)", "-",
-                  nystrom_seconds, nystrom_acc.ok() ? *nystrom_acc : -1.0);
+                  anchor_run.seconds, anchor_run.accuracy);
     }
   }
-  std::printf("\nNyström keeps per-point cost flat (O(n·m²)) while the exact\n"
-              "pipeline's graph construction grows quadratically.\n");
+  std::printf("\nAnchor mode keeps per-point cost flat (O(n·m·d) per view)\n"
+              "while the exact pipeline's graph construction grows "
+              "quadratically.\n");
   return 0;
 }

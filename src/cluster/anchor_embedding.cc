@@ -86,7 +86,7 @@ StatusOr<AnchorEmbeddingResult> AnchorSpectralEmbedding(
 
   // Top-k eigenpairs of the m × m reduced problem. Dense direct solve up to
   // the ceiling (exact on the degenerate spectra disconnected components
-  // produce — see kDenseDirectCeiling); above it the policy dispatcher with
+  // produce — see kDenseDirectCeiling); above it the auto dispatcher with
   // kAuto pinned to the PANEL solver, whose width-k blocks capture a k-fold
   // eigenvalue multiplicity per iteration where a single Krylov sequence
   // sees one copy (kForceSingle still honored for A/B measurements).

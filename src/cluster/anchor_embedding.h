@@ -53,8 +53,7 @@ struct AnchorEmbeddingResult {
 /// Spectral embedding from a bipartite anchor graph Z (n × m, row-stochastic,
 /// s-sparse rows — the output of graph::BuildAnchorAffinity) via the m × m
 /// reduced eigenproblem. This is the SVD-of-normalized-Z route of anchor-graph
-/// / Nyström spectral clustering generalized from the single-view
-/// nystrom.{h,cc} seed:
+/// / Nyström spectral clustering:
 ///
 ///   Ẑ = Z·Λ^{−1/2},  Λ = diag(colsum Z)   (degree normalization)
 ///   M = ẐᵀẐ  (m × m)  →  top-k eigenpairs (V, Σ²)

@@ -76,10 +76,10 @@ StatusOr<la::Matrix> SpectralEmbeddingSparse(const la::CsrMatrix& affinity,
   if (!lap.ok()) return lap.status();
   // The normalized Laplacian spectrum lies in [0, 2]; 2 + ε is a valid
   // complement bound for the smallest-eigenpair transform. The solver path
-  // is picked per shape by the measured la::EigensolvePolicy: the block
-  // solver iterates on n × k panels (one SpMM per application, in-panel
-  // multiplicity capture) and wins at wide k, while the single-vector
-  // solver's tridiagonal Rayleigh–Ritz wins at small k.
+  // follows la::ResolveEigensolveMode's shape rule: the block solver
+  // iterates on n × k panels (one SpMM per application, in-panel
+  // multiplicity capture) and runs at k ≥ 16, while the single-vector
+  // solver's tridiagonal Rayleigh–Ritz wins at smaller k.
   la::LanczosOptions options;
   options.seed = seed;
   options.max_subspace = std::min(n, std::max<std::size_t>(12 * k + 100, 250));

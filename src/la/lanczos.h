@@ -135,9 +135,7 @@ StatusOr<SymEigenResult> BlockLanczosSmallest(
 
 /// Which Lanczos implementation an eigensolve should run through.
 enum class EigensolveMode {
-  /// Consult, in order: a live ScopedEigensolveMode override, the
-  /// UMVSC_EIGENSOLVER environment variable ("block" / "single"; anything
-  /// else falls through), and finally the measured EigensolvePolicy.
+  /// The static shape rule of ResolveEigensolveMode.
   kAuto,
   /// Always the panel (block) solver.
   kForceBlock,
@@ -145,75 +143,16 @@ enum class EigensolveMode {
   kForceSingle,
 };
 
-/// Measured block-vs-single auto-policy. Calibrated once per process, at
-/// first use, from timed microprobes: both solvers run on small planted
-/// c-cluster normalized Laplacians over the grid (n, c) ∈ {192, 768} ×
-/// {4, 12}, and the log of the block/single time ratio at each corner is
-/// kept. A query bilinearly interpolates that log-ratio in (log₂ n, c) —
-/// clamped to the grid — and prefers the block path only when the
-/// interpolated ratio beats 0.95 (ties go to the single-vector solver).
-/// Two shape rules bypass the interpolation entirely: k == 1 is always
-/// single-vector (a width-1 panel is the same iteration plus overhead),
-/// and k ≥ 16 is always block (far outside the probe grid; wide panels
-/// amortize the basis products and capture multiplicity, and every
-/// measurement at such shapes favors block).
-///
-/// The decision is a pure function of the probe timings, so a process
-/// always resolves a given shape the same way — but two *runs* on a
-/// differently-loaded machine may disagree near the crossover. Both paths
-/// converge to the same eigenpairs within solver tolerance, so only
-/// wall time and floating-point bits may differ; pin the mode (options,
-/// ScopedEigensolveMode, or UMVSC_EIGENSOLVER) for bit-stable cross-run
-/// comparisons.
-class EigensolvePolicy {
- public:
-  /// One calibration measurement: both solvers timed on the same planted
-  /// Laplacian (best of two runs each).
-  struct Probe {
-    std::size_t n = 0;
-    std::size_t c = 0;
-    double block_seconds = 0.0;
-    double single_seconds = 0.0;
-  };
-
-  /// The process-wide policy, calibrated on first call (thread-safe).
-  static const EigensolvePolicy& Get();
-
-  /// True when the block path is predicted faster for k eigenpairs of an
-  /// n × n operator.
-  bool PreferBlock(std::size_t n, std::size_t k) const;
-
-  /// The raw calibration measurements (for reporting — bench/micro_la
-  /// prints these next to its per-shape policy decisions).
-  const std::vector<Probe>& probes() const { return probes_; }
-
- private:
-  EigensolvePolicy();
-
-  std::vector<Probe> probes_;
-  double log_ratio_[2][2] = {};  // [index in {192, 768}][index in {4, 12}]
-};
-
-/// RAII process-wide mode override — the strongest word in the resolution
-/// order, above even an explicit per-call mode. For tests and benches that
-/// must pin one path across library code they do not control. Not
-/// scope-nestable across threads (it swaps a process-global, like
-/// kernel::ScopedForceScalar).
-class ScopedEigensolveMode {
- public:
-  explicit ScopedEigensolveMode(EigensolveMode mode);
-  ~ScopedEigensolveMode();
-  ScopedEigensolveMode(const ScopedEigensolveMode&) = delete;
-  ScopedEigensolveMode& operator=(const ScopedEigensolveMode&) = delete;
-
- private:
-  EigensolveMode previous_;
-};
-
 /// Resolves `requested` to a concrete solver choice for a k-pair solve at
-/// size n. Never returns kAuto. Resolution order: ScopedEigensolveMode
-/// override → `requested` (when not kAuto) → UMVSC_EIGENSOLVER environment
-/// variable ("block" / "single") → EigensolvePolicy::PreferBlock.
+/// size n. Never returns kAuto. An explicit mode wins; kAuto takes the block
+/// path when k ≥ 16 and the single-vector path otherwise. Wide panels
+/// amortize the basis products and capture c-fold eigenvalue multiplicity
+/// in one shot (at the ORL shape, 400 × 40, the block path is faster while
+/// the single-vector solver needs ~7× the sweeps); below 16 the
+/// single-vector solver was 1.25–3.77× faster on every planted Laplacian
+/// probed (n ∈ {192, 768}, k ∈ {4, 12}; 4-core AVX2 host). The rule reads
+/// only the shape, so the chosen path — and the floating-point bits it
+/// produces — never depends on host or load. `n` is unused by the rule.
 EigensolveMode ResolveEigensolveMode(EigensolveMode requested, std::size_t n,
                                      std::size_t k);
 

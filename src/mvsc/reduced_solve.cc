@@ -18,7 +18,7 @@ namespace umvsc::mvsc {
 StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
                                            std::size_t min_rank,
                                            la::Matrix* mix_out,
-                                           la::SmallSolveBatcher* batcher) {
+                                           SmallSolveBatcher* batcher) {
   UMVSC_CHECK(mix_out != nullptr, "mix sink is required");
   const std::size_t p_full = concat.cols();
   const la::Matrix gram = la::Gram(concat);
@@ -178,8 +178,8 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
   // need from the n-row indicator.
   la::Matrix p_red = la::MatTMul(basis, y_hat);
 
-  // Executor hooks, as on the exact path: scratch-backed temporaries and
-  // batched c × c Procrustes — bitwise-identical iterates either way.
+  // Executor hooks, as on the exact path: scratch-backed temporaries —
+  // bitwise-identical iterates either way.
   SolveScratch local_scratch;
   SolveScratch& scratch = options.hooks.scratch != nullptr
                               ? *options.hooks.scratch

@@ -1,8 +1,9 @@
 #ifndef UMVSC_MVSC_SOLVE_HOOKS_H_
 #define UMVSC_MVSC_SOLVE_HOOKS_H_
 
-#include "la/batched.h"
+#include "common/status.h"
 #include "la/matrix.h"
+#include "la/sym_eigen.h"
 
 namespace umvsc::mvsc {
 
@@ -10,7 +11,7 @@ namespace umvsc::mvsc {
 /// outer iteration recomputes the same-shaped products (B = β·Ŷ·Rᵀ, F·R,
 /// FᵀŶ); routing them through one scratch block turns ~3 allocations per
 /// iteration into none after the first. A job executor hands each job its
-/// own scratch (arena-backed reuse across the jobs a worker runs); solves
+/// worker's scratch (reused across the jobs that worker runs); solves
 /// without one allocate locally, same results. Not thread-safe — one
 /// scratch belongs to exactly one solve at a time.
 struct SolveScratch {
@@ -27,20 +28,26 @@ struct SolveScratch {
   }
 };
 
+/// Replacement for the small dense solves inside an alternation (c × c
+/// Procrustes, the basis Gram eigensolve). An implementation must return
+/// results bitwise identical to ProcrustesRotation / SymmetricEigen and be
+/// safe for concurrent calls. The library ships none.
+class SmallSolveBatcher {
+ public:
+  virtual ~SmallSolveBatcher() = default;
+  virtual StatusOr<la::Matrix> Procrustes(const la::Matrix& m) = 0;
+  virtual StatusOr<la::SymEigenResult> SymEigen(const la::Matrix& a) = 0;
+};
+
 /// Optional substrate hooks threaded into the unified/reduced solvers by
 /// the job executor (exec/executor.h). Both pointers are non-owning and
 /// default to null — a default-constructed SolveHooks is the plain serial
-/// path, byte-identical to the pre-hook solver.
-///
-/// Determinism contract: a batcher must produce results bitwise identical
-/// to the serial kernels it replaces (la::SmallSolveBatcher requires this),
-/// and scratch only changes where results are stored, never their values —
-/// so hooked and unhooked solves agree bitwise, as do solves under any
-/// batch composition.
+/// path. Scratch only changes where results are stored, never their
+/// values, so hooked and unhooked solves agree bitwise.
 struct SolveHooks {
-  /// Cross-job rendezvous for small dense solves (c × c Procrustes, dense
-  /// symmetric eigensolves). Null = call the serial kernel directly.
-  la::SmallSolveBatcher* batcher = nullptr;
+  /// Small-solve replacement. Null (as everywhere in the library) = call
+  /// the serial kernel directly.
+  SmallSolveBatcher* batcher = nullptr;
   /// Reusable temporaries for the alternation loop. Null = allocate per
   /// iteration as before.
   SolveScratch* scratch = nullptr;

@@ -48,8 +48,8 @@ std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
 }
 
 // Dispatches a smallest-eigenpairs solve through the block-Lanczos panel
-// path or the single-vector path — resolved per shape by the measured
-// auto-policy unless the caller forces one — same contract either way.
+// path or the single-vector path — resolved per shape by the static rule
+// unless the caller forces one — same contract either way.
 StatusOr<la::SymEigenResult> SmallestEigenpairsSparse(
     const la::CsrMatrix& lap, std::size_t c, double spectral_bound,
     const la::LanczosOptions& options, la::EigensolveMode mode) {
@@ -65,10 +65,7 @@ StatusOr<std::vector<double>> SpectralFloors(
   const std::size_t num_views = laplacians.size();
   std::vector<double> floors(num_views, 0.0);
   // Every view shares one shape (n, c), so the solver choice is resolved
-  // once, up front — which also keeps the policy's first-use calibration
-  // (timed probes) out of the parallel region below, where the nested-
-  // ParallelFor inlining would serialize the probe kernels and skew the
-  // measurement.
+  // once, up front.
   const la::EigensolveMode mode = la::ResolveEigensolveMode(
       block_lanczos, laplacians.empty() ? 0 : laplacians[0].rows(), c);
   // One Lanczos eigensolve per view, fanned out across views. Each solve is
@@ -318,9 +315,9 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
                          ? cluster::ScaledIndicator(indicator)
                          : indicator;
 
-  // Executor hooks: scratch-backed temporaries and batched small solves.
-  // Both paths produce bitwise-identical iterates (solve_hooks.h), so the
-  // loop below never branches on anything but where results live.
+  // Executor hooks: scratch-backed temporaries. Hooked and unhooked solves
+  // produce bitwise-identical iterates (solve_hooks.h), so the loop below
+  // never branches on anything but where results live.
   SolveScratch local_scratch;
   SolveScratch& scratch = options_.hooks.scratch != nullptr
                               ? *options_.hooks.scratch

@@ -92,22 +92,21 @@ struct UnifiedOptions {
   /// Disable to reproduce fully cold solves (e.g. for A/B measurements).
   bool warm_start = true;
   /// Eigensolver routing for every eigensolve of the run (spectral floors
-  /// + init alternations). kAuto (the default) lets the measured
-  /// la::EigensolvePolicy pick the faster path per shape: the block solver
-  /// iterates on n × c panels — one SpMM per operator application instead
-  /// of c memory-bound matvecs, warm starts entering the first panel
+  /// + init alternations). kAuto (the default) applies the shape rule of
+  /// la::ResolveEigensolveMode: the block solver at c ≥ 16 iterates on
+  /// n × c panels — one SpMM per operator application instead of c
+  /// memory-bound matvecs, warm starts entering the first panel
   /// column-per-column — while the single-vector solver's tridiagonal
-  /// Rayleigh–Ritz is cheaper at small c. Force either path to A/B them;
+  /// Rayleigh–Ritz is cheaper at smaller c. Force either path to A/B them;
   /// both yield the same eigenpairs to solver tolerance (identical
   /// partitions, ARI 1.0 — la_policy_test pins this).
   la::EigensolveMode block_lanczos = la::EigensolveMode::kAuto;
   /// Large-scale anchor mode (disabled by default — see UnifiedAnchorOptions).
   UnifiedAnchorOptions anchors;
-  /// Executor substrate hooks (solve_hooks.h): an optional cross-job small-
-  /// solve batcher and reusable scratch. Defaults to the plain serial path;
-  /// with hooks installed, results stay bitwise identical (the hooks'
-  /// determinism contract), only allocation and scheduling change. The
-  /// pointers are non-owning and must outlive the Run() call.
+  /// Executor substrate hooks (solve_hooks.h): reusable scratch. Defaults
+  /// to the plain serial path; with hooks installed, results stay bitwise
+  /// identical (the hooks' determinism contract), only allocation changes.
+  /// The pointers are non-owning and must outlive the Run() call.
   SolveHooks hooks;
   std::uint64_t seed = 0;
 };

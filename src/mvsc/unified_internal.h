@@ -24,7 +24,7 @@ std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
                                    const la::Matrix& f,
                                    const std::vector<double>& offsets);
 
-/// Smallest-eigenpairs dispatch through the measured block/single policy.
+/// Smallest-eigenpairs dispatch through the block/single shape rule.
 StatusOr<la::SymEigenResult> SmallestEigenpairsSparse(
     const la::CsrMatrix& lap, std::size_t c, double spectral_bound,
     const la::LanczosOptions& options, la::EigensolveMode mode);

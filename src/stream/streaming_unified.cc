@@ -262,9 +262,9 @@ Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
     return FullResolveNow(reason, out, mvsc::SolveHooks());
   }
   // Submit as a background job: tenant fits queued as foreground keep
-  // priority, and the solve picks up the worker's scratch plus the
-  // cross-job batcher. Ingest's caller blocks on the handle, so `this`,
-  // `reason`, and `out` safely outlive the job.
+  // priority, and the solve picks up the worker's scratch. Ingest's caller
+  // blocks on the handle, so `this`, `reason`, and `out` safely outlive the
+  // job.
   exec::JobSpec spec;
   spec.name = "stream-full-resolve";
   spec.background = true;

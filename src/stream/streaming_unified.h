@@ -67,9 +67,9 @@ struct StreamingOptions {
   /// When set, full re-solves are submitted to this executor as BACKGROUND
   /// jobs (foreground tenant work keeps priority) instead of running on
   /// the Ingest thread directly: the solve inherits the executor substrate
-  /// — per-worker scratch, the cross-job small-solve batcher, and the
-  /// declared thread budget below — and Ingest blocks on the job handle,
-  /// so semantics and results are unchanged (bitwise; the hooks contract).
+  /// — per-worker scratch and the declared thread budget below — and
+  /// Ingest blocks on the job handle, so semantics and results are
+  /// unchanged (bitwise; the hooks contract).
   /// Calls that already run ON an executor worker solve inline to avoid
   /// submit-and-wait deadlock. Non-owning; must outlive this object.
   exec::JobExecutor* executor = nullptr;

@@ -1,9 +1,7 @@
-// Tests of the measured eigensolver auto-policy: resolution order, the
-// shape rules, and — the property everything above the la layer leans on —
-// that the two paths the policy switches between produce identical
-// partitions, so the policy can only ever change wall time.
-
-#include <cstdlib>
+// Tests of the eigensolver shape rule: the resolution table, and — the
+// property everything above the la layer leans on — that the two paths the
+// rule switches between produce identical partitions, so the rule can only
+// ever change wall time.
 
 #include <gtest/gtest.h>
 
@@ -15,69 +13,62 @@
 namespace umvsc {
 namespace {
 
-TEST(EigensolvePolicyTest, CalibrationProducesFullProbeGrid) {
-  const la::EigensolvePolicy& policy = la::EigensolvePolicy::Get();
-  ASSERT_EQ(policy.probes().size(), 4u);
-  for (const la::EigensolvePolicy::Probe& probe : policy.probes()) {
-    EXPECT_GT(probe.n, 0u);
-    EXPECT_GT(probe.c, 0u);
-    EXPECT_GT(probe.block_seconds, 0.0);
-    EXPECT_GT(probe.single_seconds, 0.0);
+la::EigensolveMode Auto(std::size_t n, std::size_t k) {
+  return la::ResolveEigensolveMode(la::EigensolveMode::kAuto, n, k);
+}
+
+TEST(EigensolveRuleTest, BenchmarkShapesResolveByTheShapeRule) {
+  // The (n, c) eigensolve shapes of the paper-scale datasets: only ORL's
+  // 40 clusters reach the block path.
+  struct Case {
+    std::size_t n;
+    std::size_t k;
+    la::EigensolveMode expected;
+  };
+  const Case cases[] = {
+      {14, 5, la::EigensolveMode::kForceSingle},
+      {21, 5, la::EigensolveMode::kForceSingle},
+      {36, 10, la::EigensolveMode::kForceSingle},
+      {169, 6, la::EigensolveMode::kForceSingle},
+      {210, 7, la::EigensolveMode::kForceSingle},
+      {2000, 10, la::EigensolveMode::kForceSingle},
+      {400, 40, la::EigensolveMode::kForceBlock},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Auto(c.n, c.k), c.expected) << "n=" << c.n << " k=" << c.k;
   }
 }
 
-TEST(EigensolvePolicyTest, ShapeRulesBypassInterpolation) {
-  const la::EigensolvePolicy& policy = la::EigensolvePolicy::Get();
-  // k == 1: a width-1 panel is the single-vector iteration plus overhead.
-  EXPECT_FALSE(policy.PreferBlock(100, 1));
-  EXPECT_FALSE(policy.PreferBlock(100000, 1));
-  // k >= 16: wide panels win regardless of the probe timings (ORL-like).
-  EXPECT_TRUE(policy.PreferBlock(100, 16));
-  EXPECT_TRUE(policy.PreferBlock(400, 40));
-}
-
-TEST(EigensolvePolicyTest, ResolveNeverReturnsAuto) {
-  for (const std::size_t n : {50u, 200u, 2000u}) {
-    for (const std::size_t k : {1u, 5u, 40u}) {
-      const la::EigensolveMode mode =
-          la::ResolveEigensolveMode(la::EigensolveMode::kAuto, n, k);
-      EXPECT_NE(mode, la::EigensolveMode::kAuto);
+TEST(EigensolveRuleTest, BelowSixteenIsSingleAtAnySize) {
+  for (const std::size_t n : {2u, 50u, 400u, 100000u, 10000000u}) {
+    for (std::size_t k = 0; k <= 15; ++k) {
+      EXPECT_EQ(Auto(n, k), la::EigensolveMode::kForceSingle)
+          << "n=" << n << " k=" << k;
     }
   }
 }
 
-TEST(EigensolvePolicyTest, ExplicitRequestWins) {
-  EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceBlock, 10, 1),
-            la::EigensolveMode::kForceBlock);
-  EXPECT_EQ(
-      la::ResolveEigensolveMode(la::EigensolveMode::kForceSingle, 400, 40),
-      la::EigensolveMode::kForceSingle);
+TEST(EigensolveRuleTest, SixteenAndAboveIsBlock) {
+  for (const std::size_t n : {16u, 400u, 100000u}) {
+    for (const std::size_t k : {16u, 17u, 40u, 100u}) {
+      EXPECT_EQ(Auto(n, k), la::EigensolveMode::kForceBlock)
+          << "n=" << n << " k=" << k;
+    }
+  }
 }
 
-TEST(EigensolvePolicyTest, ScopedOverrideBeatsExplicitRequest) {
-  {
-    la::ScopedEigensolveMode scope(la::EigensolveMode::kForceSingle);
+TEST(EigensolveRuleTest, ExplicitRequestWins) {
+  for (const std::size_t k : {1u, 5u, 15u, 16u, 40u}) {
     EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceBlock, 400,
-                                        40),
+                                        k),
+              la::EigensolveMode::kForceBlock);
+    EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceSingle, 400,
+                                        k),
               la::EigensolveMode::kForceSingle);
   }
-  // The override dies with the scope.
-  EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kForceBlock, 400,
-                                      40),
-            la::EigensolveMode::kForceBlock);
 }
 
-TEST(EigensolvePolicyTest, EnvironmentVariableBeatsPolicy) {
-  ASSERT_EQ(setenv("UMVSC_EIGENSOLVER", "block", 1), 0);
-  EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kAuto, 100, 1),
-            la::EigensolveMode::kForceBlock);
-  ASSERT_EQ(setenv("UMVSC_EIGENSOLVER", "single", 1), 0);
-  EXPECT_EQ(la::ResolveEigensolveMode(la::EigensolveMode::kAuto, 400, 40),
-            la::EigensolveMode::kForceSingle);
-  ASSERT_EQ(unsetenv("UMVSC_EIGENSOLVER"), 0);
-}
-
-TEST(EigensolvePolicyTest, AutoDispatchMatchesForcedPathBitwise) {
+TEST(EigensolveRuleTest, AutoDispatchMatchesForcedPathBitwise) {
   // The auto entry points must be pure routers: under a pinned mode they
   // reproduce the corresponding direct solver bit for bit.
   data::MultiViewConfig config;
@@ -115,10 +106,10 @@ TEST(EigensolvePolicyTest, AutoDispatchMatchesForcedPathBitwise) {
 }
 
 // Forced-block and forced-single runs of the full solver must land on the
-// SAME partition (ARI exactly 1.0) — the guarantee that lets the measured
-// policy choose freely on wall-time grounds alone. Shapes mirror the small
+// SAME partition (ARI exactly 1.0) — the guarantee that lets the shape
+// rule choose on wall-time grounds alone. Shapes mirror the small
 // paper datasets (3-Sources-scale and a 3-cluster problem).
-TEST(EigensolvePolicyTest, ForcedPathsProduceIdenticalPartitions) {
+TEST(EigensolveRuleTest, ForcedPathsProduceIdenticalPartitions) {
   struct Shape {
     std::size_t n;
     std::size_t c;
