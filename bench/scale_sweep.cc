@@ -9,7 +9,9 @@
 // The headline numbers: the time-vs-n log-log slope over the top decade
 // (near-linear means ≤ 1.25) and the parity floor (≥ 0.95 everywhere the
 // exact path runs). `--smoke` shrinks the sweep to n ≤ 50,000 and turns
-// those two thresholds into the exit code — the CI gate.
+// those two thresholds into the exit code — the CI gate. Each row also
+// records the anchor solve's outer iterations and whether it converged
+// (a `*` after the count in the table marks a run that hit the cap).
 //
 //   ./scale_sweep [--smoke] [--json=PATH]     (default BENCH_scale.json)
 
@@ -20,9 +22,11 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "la/gemm_kernel.h"
 #include "mvsc/unified.h"
 
 namespace {
@@ -36,6 +40,8 @@ struct SweepRow {
   std::size_t n = 0;
   double anchor_seconds = 0.0;
   double ari_truth_anchor = 0.0;
+  std::size_t anchor_iterations = 0;  // outer G/R/Y/α iterations run
+  bool anchor_converged = false;      // false = hit max_iterations
   std::size_t peak_rss_kb = 0;  // process peak AFTER the anchor leg
   bool exact_ran = false;
   double exact_seconds = 0.0;
@@ -114,6 +120,9 @@ void WriteJson(const std::string& path, bool smoke,
   }
   std::fprintf(f, "{\n  \"benchmark\": \"scale_sweep\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(f, "  \"host\": {\"nproc\": %zu, \"simd_backend\": \"%s\"},\n",
+               umvsc::HardwareThreads(),
+               umvsc::la::kernel::ActiveBackendName());
   std::fprintf(f,
                "  \"config\": {\"views\": 2, \"dims\": [8, 6], \"clusters\": "
                "5, \"separation\": 6.0, \"anchors\": 256, "
@@ -123,9 +132,11 @@ void WriteJson(const std::string& path, bool smoke,
     const SweepRow& row = rows[i];
     std::fprintf(f,
                  "    {\"n\": %zu, \"anchor_seconds\": %.6f, "
-                 "\"ari_truth_anchor\": %.6f, \"peak_rss_kb\": %zu",
+                 "\"ari_truth_anchor\": %.6f, \"iterations\": %zu, "
+                 "\"converged\": %s, \"peak_rss_kb\": %zu",
                  row.n, row.anchor_seconds, row.ari_truth_anchor,
-                 row.peak_rss_kb);
+                 row.anchor_iterations,
+                 row.anchor_converged ? "true" : "false", row.peak_rss_kb);
     if (row.exact_ran) {
       std::fprintf(f,
                    ",\n     \"exact_seconds\": %.6f, \"ari_truth_exact\": "
@@ -178,8 +189,8 @@ int main(int argc, char** argv) {
 
   std::printf("Anchor-path scale sweep%s (m=256, s=5, c=5, V=2)\n",
               smoke ? " [smoke]" : "");
-  std::printf("%9s %12s %10s %12s %12s %10s\n", "n", "anchor sec",
-              "ARI(truth)", "peak RSS MB", "exact sec", "parity");
+  std::printf("%9s %12s %10s %6s %12s %12s %10s\n", "n", "anchor sec",
+              "ARI(truth)", "iters", "peak RSS MB", "exact sec", "parity");
 
   std::vector<SweepRow> rows;
   bool parity_ok = true;
@@ -201,6 +212,8 @@ int main(int argc, char** argv) {
     }
     row.peak_rss_kb = PeakRssKb();
     row.ari_truth_anchor = Ari(anchored->labels, dataset.labels);
+    row.anchor_iterations = anchored->iterations;
+    row.anchor_converged = anchored->converged;
 
     if (n <= exact_cap) {
       watch.Reset();
@@ -217,8 +230,9 @@ int main(int argc, char** argv) {
       if (row.ari_parity < kParityFloor) parity_ok = false;
     }
 
-    std::printf("%9zu %12.3f %10.4f %12.1f", row.n, row.anchor_seconds,
-                row.ari_truth_anchor,
+    std::printf("%9zu %12.3f %10.4f %5zu%s %12.1f", row.n, row.anchor_seconds,
+                row.ari_truth_anchor, row.anchor_iterations,
+                row.anchor_converged ? " " : "*",
                 static_cast<double>(row.peak_rss_kb) / 1024.0);
     if (row.exact_ran) {
       std::printf(" %12.3f %10.4f\n", row.exact_seconds, row.ari_parity);

@@ -32,6 +32,12 @@ class ScopedForceScalar {
   bool previous_;
 };
 
+/// kc: the p-block edge of GemmAdd's accumulation grid. THE
+/// determinism-relevant constant — the grid is the ⌈k/kKc⌉ blocking of the
+/// inner dimension and nothing else. Kernels that reproduce GemmAdd's bits
+/// without calling it (la::RowMatMul, cluster::IndicatorTMul) block on it.
+inline constexpr std::size_t kKc = 256;
+
 /// A GEMM input: a row-major array read as-is (logical(i, j) =
 /// data[i·stride + j]) or transposed (logical(i, j) = data[j·stride + i])
 /// without materializing the transpose.

@@ -18,9 +18,9 @@
 // Determinism: every C element accumulates (a) serially in ascending p
 // inside each kc block — its own register lane, no cross-lane math — and
 // (b) across kc blocks in ascending order via the C read-modify-write.
-// The grid depends only on k (and the kKc constant), so the result is
-// independent of the row range, the tile a value lands in, zero-padded
-// edges, and the backend V.
+// The grid depends only on k (and the kKc constant of gemm_kernel.h), so
+// the result is independent of the row range, the tile a value lands in,
+// zero-padded edges, and the backend V.
 
 #include <algorithm>
 #include <cstddef>
@@ -35,9 +35,6 @@ namespace umvsc::la::kernel::detail {
 inline constexpr std::size_t kMr = 4;
 /// Register-tile columns: two 4-lane vectors of packed B.
 inline constexpr std::size_t kNr = 2 * simd::kSimdLanes;
-/// kc: p-block edge. THE determinism-relevant constant — the accumulation
-/// grid is the ⌈k/kKc⌉ blocking of the inner dimension and nothing else.
-inline constexpr std::size_t kKc = 256;
 /// mc: rows of A packed per cache block (kMc·kKc doubles ≈ 128 KiB).
 inline constexpr std::size_t kMc = 64;
 

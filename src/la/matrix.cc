@@ -120,19 +120,9 @@ void Matrix::Symmetrize() {
 }
 
 double Matrix::FrobeniusNorm() const {
-  double scale = 0.0;
-  double ssq = 1.0;
-  for (double x : data_) {
-    if (x == 0.0) continue;
-    double ax = std::fabs(x);
-    if (scale < ax) {
-      ssq = 1.0 + ssq * (scale / ax) * (scale / ax);
-      scale = ax;
-    } else {
-      ssq += (ax / scale) * (ax / scale);
-    }
-  }
-  return scale * std::sqrt(ssq);
+  ScaledSumOfSquares sum;
+  for (double x : data_) sum.Add(x);
+  return sum.Norm();
 }
 
 double Matrix::MaxAbs() const {

@@ -1,6 +1,7 @@
 #ifndef UMVSC_LA_MATRIX_H_
 #define UMVSC_LA_MATRIX_H_
 
+#include <cmath>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -110,6 +111,30 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
+};
+
+/// The overflow-safe running sum of squares behind Matrix::FrobeniusNorm
+/// (LAPACK dnrm2's scaled recurrence). A pass that never materializes a
+/// matrix feeds it the entries in row-major order and gets the bits
+/// FrobeniusNorm would return for that matrix.
+class ScaledSumOfSquares {
+ public:
+  void Add(double x) {
+    if (x == 0.0) return;
+    const double ax = std::fabs(x);
+    if (scale_ < ax) {
+      ssq_ = 1.0 + ssq_ * (scale_ / ax) * (scale_ / ax);
+      scale_ = ax;
+    } else {
+      ssq_ += (ax / scale_) * (ax / scale_);
+    }
+  }
+  /// √(Σ x²) over the entries added so far.
+  double Norm() const { return scale_ * std::sqrt(ssq_); }
+
+ private:
+  double scale_ = 0.0;
+  double ssq_ = 1.0;
 };
 
 /// True when shapes match and ‖A − B‖_max <= tol.

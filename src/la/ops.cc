@@ -128,6 +128,29 @@ Matrix MatMulT(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+void RowMatMul(const double* x, const Matrix& b, double* out) {
+  const std::size_t k = b.rows(), n = b.cols();
+  std::fill(out, out + n, 0.0);
+  // First kc block straight into `out`: GemmAdd's block partial starts at
+  // +0 and lands on a zeroed C, and 0 + partial is the partial.
+  const std::size_t k0 = std::min(k, kernel::kKc);
+  for (std::size_t p = 0; p < k0; ++p) {
+    const double xp = x[p];
+    const double* brow = b.RowPtr(p);
+    for (std::size_t j = 0; j < n; ++j) out[j] += xp * brow[j];
+  }
+  // Later blocks: each element's block partial is summed on its own, then
+  // added to C — GemmAdd's ascending block order.
+  for (std::size_t kk = k0; kk < k; kk += kernel::kKc) {
+    const std::size_t kend = std::min(k, kk + kernel::kKc);
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t p = kk; p < kend; ++p) acc += x[p] * b(p, j);
+      out[j] += acc;
+    }
+  }
+}
+
 Vector MatVec(const Matrix& a, const Vector& x) {
   UMVSC_CHECK(a.cols() == x.size(), "MatVec dimension mismatch");
   Vector y(a.rows());

@@ -53,6 +53,13 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix& c);
 /// to MatMulT(a, b) at every thread count.
 void MatMulTInto(const Matrix& a, const Matrix& b, Matrix& c);
 
+/// out[0..B.cols()) = x · B for a row x of length B.rows() — row i of
+/// MatMul(A, B) when x = A.RowPtr(i), bitwise (the same kc accumulation
+/// grid, serial). For fused row passes that consume each product row once
+/// and must not materialize the n-row product. Serial; `out` must not
+/// alias x or B.
+void RowMatMul(const double* x, const Matrix& b, double* out);
+
 /// y = A · x. Requires A.cols() == x.size(). Row-parallel with a
 /// vectorized fixed-tree dot per row; bitwise deterministic across
 /// thread counts.

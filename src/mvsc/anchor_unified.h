@@ -46,7 +46,7 @@ struct AnchorModel {
 };
 
 /// Result of the anchor-mode unified solve: the standard UnifiedResult
-/// (labels, n × c embedding/indicator, rotation, weights, traces) plus the
+/// (labels, n × c embedding, rotation, weights, traces) plus the
 /// model needed for out-of-sample assignment.
 struct AnchorUnifiedResult {
   UnifiedResult result;
@@ -70,7 +70,7 @@ struct AnchorUnifiedResult {
 /// dispatchers, same GPI, same α closed form — the blocks of
 /// unified_internal.h). Reconstruction to n rows happens ONLY at
 /// label-assignment time (the Y-step's row-argmax of B·G·R and the final
-/// embedding/indicator), keeping the per-iteration cost O(n·p·c + p²·c)
+/// embedding), keeping the per-iteration cost O(n·p·c + p²·c)
 /// and the whole solve O(n·(m·d + s² + p·c)) — near-linear in n.
 ///
 /// Deterministic end to end: seeded anchor selection, the bitwise-stable

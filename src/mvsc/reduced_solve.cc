@@ -7,6 +7,7 @@
 
 #include "cluster/gpi.h"
 #include "cluster/rotation.h"
+#include "common/parallel.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
 #include "la/svd.h"
@@ -53,15 +54,328 @@ StatusOr<la::Matrix> JointOrthonormalBasis(const la::Matrix& concat,
   return basis;
 }
 
+namespace internal {
+
+namespace {
+
+// Row grain of the fused Y-step and F-step passes (scheduling only: every
+// row's values are its own).
+constexpr std::size_t kRowGrain = 256;
+
+// Y-step as one row-parallel pass: F's row (B_i·G on the reduced path), the
+// rotated row F_i·R and its argmax, keeping the (B·G)·R association of the
+// dense products. Then the counts and the empty-cluster repair: an empty
+// column j steals the row with the largest (F·R)(i, j) among rows whose
+// cluster keeps >= 2 members, so the solver cannot silently collapse
+// clusters (the K-means empty-cluster convention). Bitwise equal to the
+// dense MatMul / row-argmax / repair sequence at every thread count.
+void AssignRows(const la::Matrix* basis, const la::Matrix& g,
+                const la::Matrix& rotation, bool scale_indicator,
+                la::Matrix& f_full, cluster::LabelIndicator& y) {
+  const la::Matrix& f = basis != nullptr ? f_full : g;
+  const std::size_t n = f.rows(), c = rotation.cols();
+  y.labels.resize(n);
+  ParallelFor(0, n, kRowGrain, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> fr(c);
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (basis != nullptr) {
+        la::RowMatMul(basis->RowPtr(i), g, f_full.RowPtr(i));
+      }
+      la::RowMatMul(f.RowPtr(i), rotation, fr.data());
+      y.labels[i] = cluster::RowArgmax(fr.data(), c);
+    }
+  });
+  y.Recount(c, scale_indicator);
+  std::vector<double> fr(c);
+  for (std::size_t j = 0; j < c; ++j) {
+    if (y.counts[j] != 0) continue;
+    double best = -std::numeric_limits<double>::infinity();
+    std::size_t best_i = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (y.counts[y.labels[i]] < 2) continue;
+      la::RowMatMul(f.RowPtr(i), rotation, fr.data());
+      if (fr[j] > best) {
+        best = fr[j];
+        best_i = i;
+      }
+    }
+    if (best_i < n) {
+      y.counts[y.labels[best_i]]--;
+      y.labels[best_i] = j;
+      y.counts[j] = 1;
+    }
+  }
+  y.Rescale(scale_indicator);
+}
+
+// The exact path's F-step right-hand side β·Ŷ·Rᵀ from labels: row i is
+// β·s_l·R(:, l)ᵀ for l = labels[i]. `0.0 +` reproduces the +0 a GEMM
+// accumulator gives an exactly-zero product, so the bits match
+// MatMulTInto(Ŷ, R) followed by Scale(β).
+void IndicatorTimesRotationT(const cluster::LabelIndicator& y,
+                             const la::Matrix& rotation, double beta,
+                             la::Matrix& b) {
+  const std::size_t c = rotation.rows();
+  ParallelFor(0, b.rows(), kRowGrain, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::size_t label = y.labels[i];
+      const double s = y.scales[label];
+      double* row = b.RowPtr(i);
+      for (std::size_t j = 0; j < c; ++j) {
+        row[j] = (0.0 + s * rotation(j, label)) * beta;
+      }
+    }
+  });
+}
+
+}  // namespace
+
+StatusOr<ReducedSolveState> SolveAlternation(
+    const std::vector<la::CsrMatrix>& laplacians, const la::Matrix* basis,
+    bool mass_normalized_warmups, const UnifiedOptions& options,
+    const ReducedSolveControls& controls, UnifiedResult* result) {
+  UMVSC_CHECK(result != nullptr, "result sink is required");
+  const std::size_t num_views = laplacians.size();
+  const std::size_t c = options.num_clusters;
+  // q: rows of G — the basis width on the reduced path, n on the exact one.
+  const std::size_t q = laplacians.front().rows();
+
+  la::LanczosOptions lanczos;
+  lanczos.seed = options.seed + 17;
+  lanczos.max_subspace = std::min(q, std::max<std::size_t>(12 * c + 100, 250));
+  lanczos.tolerance = 3e-6;
+  std::vector<double> floors(num_views, 0.0);
+  if (options.smoothness == SmoothnessNormalization::kExcess) {
+    StatusOr<std::vector<double>> spectral =
+        SpectralFloors(laplacians, c, lanczos, options.block_lanczos,
+                       &result->lanczos_matvecs);
+    if (!spectral.ok()) return spectral.status();
+    floors = std::move(*spectral);
+  }
+
+  // Warm-start validity: every piece is checked against the CURRENT shapes.
+  // A stale piece (p changed after an anchor re-selection, c changed after
+  // a cluster-count update) silently degrades that piece to cold instead of
+  // erroring — the caller asked for the best available start, not a crash.
+  const ReducedWarmStart* warm = controls.warm;
+  const bool warm_g = warm != nullptr && warm->g.rows() == q &&
+                      warm->g.cols() == c;
+  const bool warm_rotation = warm != nullptr && warm->rotation.rows() == c &&
+                             warm->rotation.cols() == c;
+  const bool warm_weights =
+      warm != nullptr && warm->weight_coefficients.size() == num_views;
+
+  // --- Initialization: warm-start with a few weight↔embedding alternations
+  // (fresh eigensolves, no discrete coupling). A single embedding of the
+  // uniform average is fragile — one adversarial view can wreck it, and the
+  // Y↔F alternation below would then lock onto the bad partition. The
+  // alternations let the auto-weighting suppress such views first.
+  Weights weights;
+  if (warm_weights) {
+    weights.coefficients = warm->weight_coefficients;
+  } else {
+    weights.coefficients.assign(num_views,
+                                1.0 / static_cast<double>(num_views));
+  }
+  la::Matrix g;
+  if (warm_g) g = warm->g;
+  // The per-view Laplacians are fixed for the whole run, so the union
+  // sparsity pattern of their weighted combinations is too: plan it once,
+  // and every alternation/iteration below refreshes values only.
+  const la::CsrCombiner combiner = la::CsrCombiner::Plan(laplacians);
+  std::vector<double> traces;
+  std::vector<double> h;
+  const std::size_t warmups =
+      std::max<std::size_t>(1, options.init_alternations);
+  for (std::size_t iter = 0; iter < warmups; ++iter) {
+    la::CsrMatrix combined = combiner.Combine(laplacians, weights.coefficients);
+    // Mass-renormalized on the exact path: exact eigenvectors of the plain
+    // weighted sum on complete data, and a resolvable bottom eigengap on
+    // incomplete data (see MassNormalizedCombination).
+    if (mass_normalized_warmups) combined = MassNormalizedCombination(combined);
+    la::LanczosOptions warm_lanczos = lanczos;
+    warm_lanczos.matvec_count = &result->lanczos_matvecs;
+    if (options.warm_start && g.rows() == q && g.cols() == c) {
+      // Seed from the previous alternation's embedding: the combined
+      // Laplacian moved only as far as the view weights did.
+      warm_lanczos.warm_start = &g;
+    }
+    StatusOr<la::SymEigenResult> init_eig = SmallestEigenpairsSparse(
+        combined, c, cluster::GershgorinUpperBound(combined) + 1e-9,
+        warm_lanczos, options.block_lanczos);
+    if (!init_eig.ok()) return init_eig.status();
+    g = std::move(init_eig->eigenvectors);
+    traces = ViewTraces(laplacians, g);
+    h = ViewSmoothness(traces, floors);
+    weights = UpdateWeights(h, options.weighting, options.gamma);
+    double smoothness = 0.0;
+    for (std::size_t v = 0; v < num_views; ++v) {
+      smoothness += weights.coefficients[v] * h[v];
+    }
+    result->warmup_trace.push_back(smoothness);
+  }
+
+  // F = B·G reconstructed on the reduced path (n × c, refreshed by every
+  // Y-step); the exact path's F is G itself.
+  la::Matrix f_full;
+  const la::Matrix& f = basis != nullptr ? f_full : g;
+
+  // Objective Σ_v α_v^γ·Tr(FᵀL_vF) + β·‖Ŷ − F·R‖²_F at the current traces
+  // (Tr(FᵀL_vF) = Tr(GᵀH_vG) on the reduced path); the residual is
+  // evaluated on the reconstructed rows exactly.
+  auto objective = [&](const la::Matrix& rot,
+                       const cluster::LabelIndicator& y_cur) {
+    double obj = 0.0;
+    for (std::size_t v = 0; v < num_views; ++v) {
+      obj += weights.coefficients[v] * traces[v];
+    }
+    const double r = cluster::IndicatorResidualNorm(f, rot, y_cur);
+    return obj + options.beta * r * r;
+  };
+
+  // Executor hooks: scratch-backed temporaries. Hooked and unhooked solves
+  // produce bitwise-identical iterates (solve_hooks.h).
+  SolveScratch local_scratch;
+  SolveScratch& scratch = options.hooks.scratch != nullptr
+                              ? *options.hooks.scratch
+                              : local_scratch;
+
+  la::Matrix rotation;
+  cluster::LabelIndicator y;
+  if (warm_rotation) {
+    // Warm entry: the carried rotation is already at (or near) the previous
+    // solve's fixed point — the indicator falls straight out of a row-argmax
+    // pass, no restart search.
+    rotation = warm->rotation;
+    if (basis != nullptr) f_full = la::Matrix(basis->rows(), c);
+    AssignRows(basis, g, rotation, options.scale_indicator, f_full, y);
+  } else {
+    if (basis != nullptr) f_full = la::MatMul(*basis, g);
+    cluster::RotationOptions rot_init;
+    rot_init.seed = options.seed + 31;
+    rot_init.restarts = 8;
+    rot_init.scale_indicator = options.scale_indicator;
+    StatusOr<cluster::RotationResult> init_disc =
+        cluster::DiscretizeEmbedding(f, rot_init);
+    if (!init_disc.ok()) return init_disc.status();
+    rotation = std::move(init_disc->rotation);
+    y.labels = std::move(init_disc->labels);
+    y.Recount(c, options.scale_indicator);
+  }
+  // Reduced image P = BᵀŶ (p × c): the ONLY coupling the G- and R-steps
+  // need from the n-row indicator on the reduced path.
+  la::Matrix p_red;
+  if (basis != nullptr) {
+    cluster::IndicatorTMul(*basis, y, p_red, scratch.block_partials);
+  }
+
+  double prev_obj = std::numeric_limits<double>::infinity();
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+    // --- G-step: min Tr(GᵀAG) − 2β·Tr(Gᵀ·P·Rᵀ) on the Stiefel manifold,
+    // P = BᵀŶ (the F-step compressed through F = B·G) or Ŷ itself. Value-
+    // only combination over the precomputed union pattern; the GPI is
+    // warm-started from the incumbent G.
+    la::CsrMatrix a = combiner.Combine(laplacians, weights.coefficients);
+    la::Matrix& b = SolveScratch::Ensure(scratch.b, q, c);
+    if (basis != nullptr) {
+      la::MatMulTInto(p_red, rotation, b);
+      b.Scale(options.beta);
+    } else {
+      IndicatorTimesRotationT(y, rotation, options.beta, b);
+    }
+    cluster::GpiOptions gpi;
+    gpi.max_iterations = options.gpi_iterations;
+    StatusOr<cluster::GpiResult> gstep =
+        cluster::GeneralizedPowerIteration(a, b, g, gpi);
+    if (!gstep.ok()) return gstep.status();
+    g = std::move(gstep->f);
+
+    // --- R-step: orthogonal Procrustes on FᵀŶ = GᵀP (c × c, no n-row pass
+    // on the reduced path).
+    la::Matrix& ctc = SolveScratch::Ensure(scratch.ctc, c, c);
+    if (basis != nullptr) {
+      la::MatTMulInto(g, p_red, ctc);
+    } else {
+      cluster::IndicatorTMul(g, y, ctc, scratch.block_partials);
+    }
+    StatusOr<la::Matrix> rstep = options.hooks.batcher != nullptr
+                                     ? options.hooks.batcher->Procrustes(ctc)
+                                     : la::ProcrustesRotation(ctc);
+    if (!rstep.ok()) return rstep.status();
+    rotation = std::move(*rstep);
+
+    // --- Y-step: labels are an n-point object, so the row-argmax of
+    // F·R = (B·G)·R must see n rows — one fused pass, no n × c temporary.
+    AssignRows(basis, g, rotation, options.scale_indicator, f_full, y);
+    if (basis != nullptr) {
+      cluster::IndicatorTMul(*basis, y, p_red, scratch.block_partials);
+    }
+
+    // --- α-step: closed form from the fresh smoothness values.
+    traces = ViewTraces(laplacians, g);
+    h = ViewSmoothness(traces, floors);
+    weights = UpdateWeights(h, options.weighting, options.gamma);
+
+    const double obj = objective(rotation, y);
+    result->objective_trace.push_back(obj);
+    result->iterations = iter + 1;
+    if (iter > 0 &&
+        std::fabs(prev_obj - obj) <=
+            options.tolerance * std::max(std::fabs(prev_obj), 1e-12)) {
+      result->converged = true;
+      break;
+    }
+    prev_obj = obj;
+  }
+
+  ReducedSolveState state;
+  state.objective = objective(rotation, y);
+  if (controls.polish) {
+    // Final polish: re-search the (Y, R) pair for the converged F with
+    // fresh rotation restarts — the alternation only ever refined the
+    // incumbent rotation, and a restarted search occasionally finds a
+    // strictly better discretization. Accepted only when the full
+    // objective improves.
+    cluster::RotationOptions rot_final;
+    rot_final.seed = options.seed + 97;
+    rot_final.restarts = 8;
+    rot_final.scale_indicator = options.scale_indicator;
+    StatusOr<cluster::RotationResult> polished =
+        cluster::DiscretizeEmbedding(f, rot_final);
+    if (polished.ok()) {
+      cluster::LabelIndicator polished_y;
+      polished_y.labels = std::move(polished->labels);
+      polished_y.Recount(c, options.scale_indicator);
+      const double candidate = objective(polished->rotation, polished_y);
+      if (candidate < state.objective) {
+        rotation = std::move(polished->rotation);
+        y = std::move(polished_y);
+        state.objective = candidate;
+      }
+    }
+  }
+
+  state.smoothness = std::move(h);
+  state.weight_coefficients = weights.coefficients;
+  state.rotation = rotation;
+  result->labels = std::move(y.labels);
+  result->embedding = basis != nullptr ? std::move(f_full) : g;
+  result->rotation = std::move(rotation);
+  result->view_weights = std::move(weights.alpha);
+  state.g = std::move(g);
+  return state;
+}
+
+}  // namespace internal
+
 StatusOr<ReducedSolveState> SolveReducedAlternation(
     const std::vector<la::CsrMatrix>& reduced, const la::Matrix& basis,
     const UnifiedOptions& options, const ReducedSolveControls& controls,
     UnifiedResult* result) {
   UMVSC_CHECK(result != nullptr, "result sink is required");
-  const std::size_t num_views = reduced.size();
   const std::size_t c = options.num_clusters;
   const std::size_t p = basis.cols();
-  if (num_views == 0) {
+  if (reduced.empty()) {
     return Status::InvalidArgument("reduced solve needs at least one view");
   }
   for (const la::CsrMatrix& h : reduced) {
@@ -74,206 +388,9 @@ StatusOr<ReducedSolveState> SolveReducedAlternation(
     return Status::InvalidArgument(
         "reduced dimension fell below the cluster count");
   }
-
-  la::LanczosOptions lanczos;
-  lanczos.seed = options.seed + 17;
-  lanczos.max_subspace = std::min(p, std::max<std::size_t>(12 * c + 100, 250));
-  lanczos.tolerance = 3e-6;
-  std::vector<double> floors(num_views, 0.0);
-  if (options.smoothness == SmoothnessNormalization::kExcess) {
-    StatusOr<std::vector<double>> spectral =
-        internal::SpectralFloors(reduced, c, lanczos, options.block_lanczos,
-                                 &result->lanczos_matvecs);
-    if (!spectral.ok()) return spectral.status();
-    floors = std::move(*spectral);
-  }
-
-  // Warm-start validity: every piece is checked against the CURRENT shapes.
-  // A stale piece (p changed after an anchor re-selection, c changed after
-  // a cluster-count update) silently degrades that piece to cold instead of
-  // erroring — the caller asked for the best available start, not a crash.
-  const ReducedWarmStart* warm = controls.warm;
-  const bool warm_g = warm != nullptr && warm->g.rows() == p &&
-                      warm->g.cols() == c;
-  const bool warm_rotation = warm != nullptr && warm->rotation.rows() == c &&
-                             warm->rotation.cols() == c;
-  const bool warm_weights =
-      warm != nullptr && warm->weight_coefficients.size() == num_views;
-
-  internal::Weights weights;
-  if (warm_weights) {
-    weights.coefficients = warm->weight_coefficients;
-  } else {
-    weights.coefficients.assign(num_views,
-                                1.0 / static_cast<double>(num_views));
-  }
-  la::Matrix g;
-  if (warm_g) g = warm->g;
-  const la::CsrCombiner combiner = la::CsrCombiner::Plan(reduced);
-  const std::size_t warmups =
-      std::max<std::size_t>(1, options.init_alternations);
-  for (std::size_t iter = 0; iter < warmups; ++iter) {
-    la::CsrMatrix combined = combiner.Combine(reduced, weights.coefficients);
-    la::LanczosOptions warm_lanczos = lanczos;
-    warm_lanczos.matvec_count = &result->lanczos_matvecs;
-    if (options.warm_start && g.rows() == p && g.cols() == c) {
-      warm_lanczos.warm_start = &g;
-    }
-    StatusOr<la::SymEigenResult> init_eig = internal::SmallestEigenpairsSparse(
-        combined, c, cluster::GershgorinUpperBound(combined) + 1e-9,
-        warm_lanczos, options.block_lanczos);
-    if (!init_eig.ok()) return init_eig.status();
-    g = std::move(init_eig->eigenvectors);
-    const std::vector<double> h = internal::ViewSmoothness(reduced, g, floors);
-    weights = internal::UpdateWeights(h, options.weighting, options.gamma);
-    double smoothness = 0.0;
-    for (std::size_t v = 0; v < num_views; ++v) {
-      smoothness += weights.coefficients[v] * h[v];
-    }
-    result->warmup_trace.push_back(smoothness);
-  }
-
-  // Objective of the reduced iterate — identical in VALUE to the exact
-  // path's UnifiedObjective at F = B·G (the traces agree because
-  // Tr(FᵀL_vF) = Tr(GᵀH_vG); the residual is evaluated on the
-  // reconstructed rows exactly).
-  auto objective = [&](const la::Matrix& g_cur, const la::Matrix& rot,
-                       const la::Matrix& y_hat_cur,
-                       const la::Matrix& f_full_cur) {
-    double obj = 0.0;
-    for (std::size_t v = 0; v < num_views; ++v) {
-      obj += weights.coefficients[v] * la::QuadraticTrace(reduced[v], g_cur);
-    }
-    la::Matrix residual =
-        la::Add(y_hat_cur, la::MatMul(f_full_cur, rot), -1.0);
-    const double r = residual.FrobeniusNorm();
-    return obj + options.beta * r * r;
-  };
-
-  la::Matrix f_full = la::MatMul(basis, g);  // n × c reconstruction
-  la::Matrix rotation;
-  la::Matrix indicator;
-  if (warm_rotation) {
-    // Warm entry: the carried rotation is already at (or near) the previous
-    // solve's fixed point — the indicator falls straight out of a row-argmax
-    // pass, no restart search.
-    rotation = warm->rotation;
-    const la::Matrix fr = la::MatMul(f_full, rotation);
-    indicator = cluster::LabelsToIndicator(internal::DiscretizeRows(fr, c), c);
-  } else {
-    cluster::RotationOptions rot_init;
-    rot_init.seed = options.seed + 31;
-    rot_init.restarts = 8;
-    rot_init.scale_indicator = options.scale_indicator;
-    StatusOr<cluster::RotationResult> init_disc =
-        cluster::DiscretizeEmbedding(f_full, rot_init);
-    if (!init_disc.ok()) return init_disc.status();
-    rotation = std::move(init_disc->rotation);
-    indicator = std::move(init_disc->indicator);
-  }
-  la::Matrix y_hat = options.scale_indicator
-                         ? cluster::ScaledIndicator(indicator)
-                         : indicator;
-  // Reduced image P = BᵀŶ (p × c): the ONLY coupling the G- and R-steps
-  // need from the n-row indicator.
-  la::Matrix p_red = la::MatTMul(basis, y_hat);
-
-  // Executor hooks, as on the exact path: scratch-backed temporaries —
-  // bitwise-identical iterates either way.
-  SolveScratch local_scratch;
-  SolveScratch& scratch = options.hooks.scratch != nullptr
-                              ? *options.hooks.scratch
-                              : local_scratch;
-  double prev_obj = std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    // --- G-step: min Tr(GᵀHG) − 2β·Tr(Gᵀ P Rᵀ) on the p-dim Stiefel
-    // manifold — the F-step compressed through F = B·G.
-    la::CsrMatrix a = combiner.Combine(reduced, weights.coefficients);
-    la::Matrix& b = SolveScratch::Ensure(scratch.b, p, c);
-    la::MatMulTInto(p_red, rotation, b);
-    b.Scale(options.beta);
-    cluster::GpiOptions gpi;
-    gpi.max_iterations = options.gpi_iterations;
-    StatusOr<cluster::GpiResult> gstep =
-        cluster::GeneralizedPowerIteration(a, b, g, gpi);
-    if (!gstep.ok()) return gstep.status();
-    g = std::move(gstep->f);
-
-    // --- R-step: Procrustes on FᵀŶ = GᵀP (c × c — no n-row pass).
-    la::Matrix& ctc = SolveScratch::Ensure(scratch.ctc, c, c);
-    la::MatTMulInto(g, p_red, ctc);
-    StatusOr<la::Matrix> rstep = options.hooks.batcher != nullptr
-                                     ? options.hooks.batcher->Procrustes(ctc)
-                                     : la::ProcrustesRotation(ctc);
-    if (!rstep.ok()) return rstep.status();
-    rotation = std::move(*rstep);
-
-    // --- Y-step: the one reconstruction per iteration — labels are an
-    // n-point object, so the row-argmax of F·R = B·(G·R) must see n rows.
-    la::MatMulInto(basis, g, f_full);
-    la::Matrix& fr = SolveScratch::Ensure(scratch.fr, f_full.rows(), c);
-    la::MatMulInto(f_full, rotation, fr);
-    std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
-    indicator = cluster::LabelsToIndicator(labels, c);
-    y_hat = options.scale_indicator ? cluster::ScaledIndicator(indicator)
-                                    : indicator;
-    la::MatTMulInto(basis, y_hat, p_red);
-
-    // --- α-step: closed form on the reduced traces.
-    weights = internal::UpdateWeights(
-        internal::ViewSmoothness(reduced, g, floors), options.weighting,
-        options.gamma);
-
-    const double obj = objective(g, rotation, y_hat, f_full);
-    result->objective_trace.push_back(obj);
-    result->iterations = iter + 1;
-    if (iter > 0 &&
-        std::fabs(prev_obj - obj) <=
-            options.tolerance * std::max(std::fabs(prev_obj), 1e-12)) {
-      result->converged = true;
-      break;
-    }
-    prev_obj = obj;
-  }
-
-  if (controls.polish) {
-    // Final polish, as on the exact path: re-search (Y, R) for the
-    // converged embedding with fresh restarts, accepted only on objective
-    // improvement.
-    cluster::RotationOptions rot_final;
-    rot_final.seed = options.seed + 97;
-    rot_final.restarts = 8;
-    rot_final.scale_indicator = options.scale_indicator;
-    StatusOr<cluster::RotationResult> polished =
-        cluster::DiscretizeEmbedding(f_full, rot_final);
-    if (polished.ok()) {
-      la::Matrix polished_y_hat =
-          options.scale_indicator ? cluster::ScaledIndicator(polished->indicator)
-                                  : polished->indicator;
-      const double incumbent = objective(g, rotation, y_hat, f_full);
-      const double candidate =
-          objective(g, polished->rotation, polished_y_hat, f_full);
-      if (candidate < incumbent) {
-        rotation = std::move(polished->rotation);
-        indicator = std::move(polished->indicator);
-        y_hat = std::move(polished_y_hat);
-      }
-    }
-  }
-
-  ReducedSolveState state;
-  state.objective = objective(g, rotation, y_hat, f_full);
-  state.smoothness = internal::ViewSmoothness(reduced, g, floors);
-  state.g = g;
-  state.rotation = rotation;
-  state.weight_coefficients = weights.coefficients;
-
-  result->labels = cluster::IndicatorToLabels(indicator);
-  result->indicator = std::move(indicator);
-  result->embedding = std::move(f_full);
-  result->rotation = std::move(rotation);
-  result->view_weights = weights.alpha;
-  return state;
+  return internal::SolveAlternation(reduced, &basis,
+                                    /*mass_normalized_warmups=*/false, options,
+                                    controls, result);
 }
 
 }  // namespace umvsc::mvsc

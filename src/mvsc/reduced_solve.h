@@ -10,13 +10,19 @@
 
 namespace umvsc::mvsc {
 
-/// The reduced-space alternation shared by the batch anchor solver
-/// (anchor_unified.cc) and the streaming updater (stream/). Both operate on
-/// the SAME object — per-view reduced Laplacians H_v = BᵀL_vB (p × p CSR)
-/// over an orthonormal basis B (n × p) with F = B·G — and must keep
-/// identical update semantics; only how they ENTER the alternation differs
-/// (cold discretize-init + polish vs. warm-started from carried state), so
-/// the solve lives here once and the entry is a control knob.
+/// The one G/R/Y/α alternation of the library. The batch anchor solver
+/// (anchor_unified.cc) and the streaming updater (stream/) enter it here,
+/// on per-view reduced Laplacians H_v = BᵀL_vB (p × p CSR) over an
+/// orthonormal basis B (n × p) with F = B·G; the exact solver
+/// (UnifiedMVSC::Run(graphs)) runs the same loop with an implicit identity
+/// basis. Only how a caller ENTERS differs (cold discretize-init + polish
+/// vs. warm-started from carried state), so the entry is a control knob.
+///
+/// The discrete indicator Y is held as labels plus per-cluster counts
+/// (cluster::LabelIndicator), never as an n × c matrix: each Y-step is one
+/// row-parallel pass over B_i·G, (B_i·G)·R and the argmax, and P = BᵀŶ is
+/// a per-cluster segmented row sum on GemmAdd's kKc row-block grid — so
+/// the iterates are bitwise those of the dense formulation.
 
 /// Joint orthonormal basis B = concat·mix over concatenated per-view
 /// embeddings [U_1 | … | U_V]: mix = W·S^{−1/2} from the Gram
@@ -75,7 +81,7 @@ struct ReducedSolveState {
 
 /// Runs spectral floors (kExcess) → init alternations → G/R/Y/α loop →
 /// optional polish. Appends traces and matvec counts to `result` and fills
-/// its labels / indicator / embedding / rotation / view_weights. `basis`
+/// its labels / embedding / rotation / view_weights. `basis`
 /// must have orthonormal columns (BᵀB ≈ I) and as many columns as each H_v
 /// has rows. Bitwise deterministic across thread counts for fixed options.
 StatusOr<ReducedSolveState> SolveReducedAlternation(

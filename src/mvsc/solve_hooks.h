@@ -1,6 +1,8 @@
 #ifndef UMVSC_MVSC_SOLVE_HOOKS_H_
 #define UMVSC_MVSC_SOLVE_HOOKS_H_
 
+#include <vector>
+
 #include "common/status.h"
 #include "la/matrix.h"
 #include "la/sym_eigen.h"
@@ -8,16 +10,18 @@
 namespace umvsc::mvsc {
 
 /// Reusable per-solve temporaries for the joint alternation loop. Every
-/// outer iteration recomputes the same-shaped products (B = β·Ŷ·Rᵀ, F·R,
-/// FᵀŶ); routing them through one scratch block turns ~3 allocations per
-/// iteration into none after the first. A job executor hands each job its
-/// worker's scratch (reused across the jobs that worker runs); solves
-/// without one allocate locally, same results. Not thread-safe — one
-/// scratch belongs to exactly one solve at a time.
+/// outer iteration recomputes the same-shaped products (the F-step's
+/// right-hand side, the Procrustes input, the per-block partials of the
+/// indicator products); routing them through one scratch block turns
+/// those allocations into none after the first iteration. A job executor
+/// hands each job its worker's scratch (reused across the jobs that worker
+/// runs); solves without one allocate locally, same results. Not
+/// thread-safe — one scratch belongs to exactly one solve at a time.
 struct SolveScratch {
-  la::Matrix b;    ///< n × c right-hand side of the F-step GPI
-  la::Matrix fr;   ///< n × c rotated embedding for the Y-step argmax
+  la::Matrix b;    ///< rows × c right-hand side of the F-step GPI
   la::Matrix ctc;  ///< c × c Procrustes input FᵀŶ
+  /// One partial per kKc-row block of BᵀŶ / FᵀŶ (cluster::IndicatorTMul).
+  std::vector<double> block_partials;
 
   /// Shapes `m` to r × c, reusing storage when the shape already matches
   /// (the steady state after iteration one; contents are overwritten by

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "common/parallel.h"
-#include "cluster/gpi.h"
-#include "cluster/rotation.h"
 #include "la/lanczos.h"
 #include "la/ops.h"
-#include "la/svd.h"
 #include "mvsc/anchor_unified.h"
 #include "mvsc/unified_internal.h"
 
@@ -26,24 +22,31 @@ constexpr double kTraceFloor = 1e-12;
 // reduced anchor path (anchor_unified.cc) runs the SAME update semantics.
 namespace internal {
 
+// Per-view traces Tr(Fᵀ L_v F). Each view's trace is independent and lands
+// in its own slot, so the fan-out is write-disjoint and deterministic. Runs
+// every outer iteration — with one view per core this is the cheapest win
+// of the whole solver. (Nested QuadraticTrace calls degrade to serial.)
+std::vector<double> ViewTraces(const std::vector<la::CsrMatrix>& laplacians,
+                               const la::Matrix& f) {
+  std::vector<double> traces(laplacians.size());
+  ParallelFor(0, laplacians.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
+      traces[v] = la::QuadraticTrace(laplacians[v], f);
+    }
+  });
+  return traces;
+}
+
 // Per-view smoothness h_v = Tr(Fᵀ L_v F) − offset_v, floored away from zero
 // so the weight updates stay finite on views the embedding fits perfectly.
 // With the kExcess normalization the offsets are each view's own spectral
 // optimum, making the weights scale-invariant across views.
-std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
-                                   const la::Matrix& f,
+std::vector<double> ViewSmoothness(const std::vector<double>& traces,
                                    const std::vector<double>& offsets) {
-  std::vector<double> h(laplacians.size());
-  // Each view's trace is independent and lands in its own slot, so the
-  // fan-out is write-disjoint and deterministic. Runs every outer
-  // iteration — with one view per core this is the cheapest win of the
-  // whole solver. (Nested QuadraticTrace calls degrade to serial.)
-  ParallelFor(0, laplacians.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      h[v] = std::max(kTraceFloor,
-                      la::QuadraticTrace(laplacians[v], f) - offsets[v]);
-    }
-  });
+  std::vector<double> h(traces.size());
+  for (std::size_t v = 0; v < traces.size(); ++v) {
+    h[v] = std::max(kTraceFloor, traces[v] - offsets[v]);
+  }
   return h;
 }
 
@@ -162,68 +165,7 @@ Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
   return w;
 }
 
-// Row-argmax discretization with empty-cluster repair: an empty column j
-// steals the row with the largest affinity F·R(:, j) among rows whose
-// cluster keeps >= 2 members, so the solver cannot silently collapse
-// clusters (mirrors the K-means empty-cluster convention).
-std::vector<std::size_t> DiscretizeRows(const la::Matrix& fr,
-                                        std::size_t num_clusters) {
-  const std::size_t n = fr.rows();
-  std::vector<std::size_t> labels(n, 0);
-  std::vector<std::size_t> counts(num_clusters, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < num_clusters; ++j) {
-      if (fr(i, j) > best) {
-        best = fr(i, j);
-        labels[i] = j;
-      }
-    }
-    counts[labels[i]]++;
-  }
-  for (std::size_t j = 0; j < num_clusters; ++j) {
-    if (counts[j] != 0) continue;
-    double best = -std::numeric_limits<double>::infinity();
-    std::size_t best_i = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (counts[labels[i]] < 2) continue;
-      if (fr(i, j) > best) {
-        best = fr(i, j);
-        best_i = i;
-      }
-    }
-    if (best_i < n) {
-      counts[labels[best_i]]--;
-      labels[best_i] = j;
-      counts[j] = 1;
-    }
-  }
-  return labels;
-}
-
 }  // namespace internal
-
-double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
-                        const std::vector<double>& weight_coefficients,
-                        double beta, const la::Matrix& f,
-                        const la::Matrix& rotation,
-                        const la::Matrix& indicator_scaled) {
-  // Per-view traces fan out; the weighted sum is then taken serially in
-  // view order, keeping the objective bitwise stable across thread counts.
-  std::vector<double> traces(laplacians.size(), 0.0);
-  ParallelFor(0, laplacians.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      traces[v] = la::QuadraticTrace(laplacians[v], f);
-    }
-  });
-  double obj = 0.0;
-  for (std::size_t v = 0; v < laplacians.size(); ++v) {
-    obj += weight_coefficients[v] * traces[v];
-  }
-  la::Matrix residual = la::Add(indicator_scaled, la::MatMul(f, rotation), -1.0);
-  const double r = residual.FrobeniusNorm();
-  return obj + beta * r * r;
-}
 
 StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
   const std::size_t num_views = graphs.laplacians.size();
@@ -248,164 +190,15 @@ StatusOr<UnifiedResult> UnifiedMVSC::Run(const MultiViewGraphs& graphs) const {
     return Status::InvalidArgument("gamma-power weighting requires gamma > 1");
   }
 
-  // --- Initialization: warm-start with a few weight↔embedding alternations
-  // (fresh eigensolves, no discrete coupling). A single embedding of the
-  // uniform average is fragile — one adversarial view can wreck it, and the
-  // Y↔F alternation below would then lock onto the bad partition. The
-  // alternations let the auto-weighting suppress such views first.
-  la::LanczosOptions lanczos;
-  lanczos.seed = options_.seed + 17;
-  lanczos.max_subspace = std::min(n, std::max<std::size_t>(12 * c + 100, 250));
-  lanczos.tolerance = 3e-6;
+  // The exact path is the shared alternation with the implicit identity
+  // basis (F = G over the n × n Laplacians): mass-normalized warm-ups, no
+  // carried warm start, the (Y, R) polish at the end.
   UnifiedResult out;
-  std::vector<double> floors(num_views, 0.0);
-  if (options_.smoothness == SmoothnessNormalization::kExcess) {
-    StatusOr<std::vector<double>> spectral =
-        internal::SpectralFloors(graphs.laplacians, c, lanczos, options_.block_lanczos,
-                       &out.lanczos_matvecs);
-    if (!spectral.ok()) return spectral.status();
-    floors = std::move(*spectral);
-  }
-  internal::Weights weights;
-  weights.coefficients.assign(num_views, 1.0 / static_cast<double>(num_views));
-  la::Matrix f;
-  // The per-view Laplacians are fixed for the whole run, so the union
-  // sparsity pattern of their weighted combinations is too: plan it once,
-  // and every alternation/iteration below refreshes values only (no triplet
-  // assembly, no sorting).
-  const la::CsrCombiner combiner = la::CsrCombiner::Plan(graphs.laplacians);
-  const std::size_t warmups = std::max<std::size_t>(1, options_.init_alternations);
-  for (std::size_t warm = 0; warm < warmups; ++warm) {
-    // Mass-renormalized combination: exact eigenvectors of the plain
-    // weighted sum on complete data, and a resolvable bottom eigengap on
-    // incomplete data (see MassNormalizedCombination).
-    la::CsrMatrix combined = MassNormalizedCombination(
-        combiner.Combine(graphs.laplacians, weights.coefficients));
-    la::LanczosOptions warm_lanczos = lanczos;
-    warm_lanczos.matvec_count = &out.lanczos_matvecs;
-    if (options_.warm_start && f.rows() == n && f.cols() == c) {
-      // Seed from the previous alternation's embedding: the combined
-      // Laplacian moved only as far as the view weights did.
-      warm_lanczos.warm_start = &f;
-    }
-    StatusOr<la::SymEigenResult> init_eig = internal::SmallestEigenpairsSparse(
-        combined, c, cluster::GershgorinUpperBound(combined) + 1e-9,
-        warm_lanczos, options_.block_lanczos);
-    if (!init_eig.ok()) return init_eig.status();
-    f = std::move(init_eig->eigenvectors);
-    const std::vector<double> h = internal::ViewSmoothness(graphs.laplacians, f, floors);
-    weights = internal::UpdateWeights(h, options_.weighting, options_.gamma);
-    double smoothness = 0.0;
-    for (std::size_t v = 0; v < num_views; ++v) {
-      smoothness += weights.coefficients[v] * h[v];
-    }
-    out.warmup_trace.push_back(smoothness);
-  }
-
-  cluster::RotationOptions rot_init;
-  rot_init.seed = options_.seed + 31;
-  rot_init.restarts = 8;
-  rot_init.scale_indicator = options_.scale_indicator;
-  StatusOr<cluster::RotationResult> init_disc =
-      cluster::DiscretizeEmbedding(f, rot_init);
-  if (!init_disc.ok()) return init_disc.status();
-  la::Matrix rotation = std::move(init_disc->rotation);
-  la::Matrix indicator = std::move(init_disc->indicator);
-  la::Matrix y_hat = options_.scale_indicator
-                         ? cluster::ScaledIndicator(indicator)
-                         : indicator;
-
-  // Executor hooks: scratch-backed temporaries. Hooked and unhooked solves
-  // produce bitwise-identical iterates (solve_hooks.h), so the loop below
-  // never branches on anything but where results live.
-  SolveScratch local_scratch;
-  SolveScratch& scratch = options_.hooks.scratch != nullptr
-                              ? *options_.hooks.scratch
-                              : local_scratch;
-  double prev_obj = std::numeric_limits<double>::infinity();
-  for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // --- F-step: min Tr(FᵀAF) − 2β·Tr(Fᵀ Ŷ Rᵀ) on the Stiefel manifold.
-    // Value-only combination over the precomputed union pattern; the GPI is
-    // warm-started from the incumbent F below.
-    la::CsrMatrix a = combiner.Combine(graphs.laplacians, weights.coefficients);
-    la::Matrix& b = SolveScratch::Ensure(scratch.b, n, c);
-    la::MatMulTInto(y_hat, rotation, b);
-    b.Scale(options_.beta);
-    cluster::GpiOptions gpi;
-    gpi.max_iterations = options_.gpi_iterations;
-    StatusOr<cluster::GpiResult> fstep =
-        cluster::GeneralizedPowerIteration(a, b, f, gpi);
-    if (!fstep.ok()) return fstep.status();
-    f = std::move(fstep->f);
-
-    // --- R-step: orthogonal Procrustes on FᵀŶ.
-    la::Matrix& ctc = SolveScratch::Ensure(scratch.ctc, c, c);
-    la::MatTMulInto(f, y_hat, ctc);
-    StatusOr<la::Matrix> rstep =
-        options_.hooks.batcher != nullptr
-            ? options_.hooks.batcher->Procrustes(ctc)
-            : la::ProcrustesRotation(ctc);
-    if (!rstep.ok()) return rstep.status();
-    rotation = std::move(*rstep);
-
-    // --- Y-step: row-wise argmax of F·R (exact given F, R).
-    la::Matrix& fr = SolveScratch::Ensure(scratch.fr, n, c);
-    la::MatMulInto(f, rotation, fr);
-    std::vector<std::size_t> labels = internal::DiscretizeRows(fr, c);
-    indicator = cluster::LabelsToIndicator(labels, c);
-    y_hat = options_.scale_indicator ? cluster::ScaledIndicator(indicator)
-                                     : indicator;
-
-    // --- α-step: closed form from the fresh smoothness values.
-    weights = internal::UpdateWeights(internal::ViewSmoothness(graphs.laplacians, f, floors),
-                            options_.weighting, options_.gamma);
-
-    const double obj =
-        UnifiedObjective(graphs.laplacians, weights.coefficients, options_.beta,
-                         f, rotation, y_hat);
-    out.objective_trace.push_back(obj);
-    out.iterations = iter + 1;
-    if (iter > 0 && std::fabs(prev_obj - obj) <=
-                        options_.tolerance * std::max(std::fabs(prev_obj), 1e-12)) {
-      out.converged = true;
-      break;
-    }
-    prev_obj = obj;
-  }
-
-  // Final polish: re-search the (Y, R) pair for the converged F with fresh
-  // rotation restarts — the alternation only ever refined the incumbent
-  // rotation, and a restarted search occasionally finds a strictly better
-  // discretization. Accepted only when the full objective improves.
-  {
-    cluster::RotationOptions rot_final;
-    rot_final.seed = options_.seed + 97;
-    rot_final.restarts = 8;
-    rot_final.scale_indicator = options_.scale_indicator;
-    StatusOr<cluster::RotationResult> polished =
-        cluster::DiscretizeEmbedding(f, rot_final);
-    if (polished.ok()) {
-      la::Matrix polished_y_hat =
-          options_.scale_indicator ? cluster::ScaledIndicator(polished->indicator)
-                                   : polished->indicator;
-      const double incumbent =
-          UnifiedObjective(graphs.laplacians, weights.coefficients,
-                           options_.beta, f, rotation, y_hat);
-      const double candidate = UnifiedObjective(
-          graphs.laplacians, weights.coefficients, options_.beta, f,
-          polished->rotation, polished_y_hat);
-      if (candidate < incumbent) {
-        rotation = std::move(polished->rotation);
-        indicator = std::move(polished->indicator);
-      }
-    }
-  }
-
-  out.labels = cluster::IndicatorToLabels(indicator);
-  out.indicator = std::move(indicator);
-  out.embedding = std::move(f);
-  out.rotation = std::move(rotation);
-  out.view_weights = std::move(weights.alpha);
+  StatusOr<ReducedSolveState> state = internal::SolveAlternation(
+      graphs.laplacians, /*basis=*/nullptr,
+      /*mass_normalized_warmups=*/true, options_, ReducedSolveControls{},
+      &out);
+  if (!state.ok()) return state.status();
   return out;
 }
 

@@ -114,8 +114,9 @@ struct UnifiedOptions {
 /// Result of the unified solver. The labels come directly from the learned
 /// discrete indicator — no K-means anywhere.
 struct UnifiedResult {
+  /// The learned discrete indicator Y held as labels (Y(i, j) = 1 iff
+  /// labels[i] == j).
   std::vector<std::size_t> labels;
-  la::Matrix indicator;       ///< learned discrete Y (n × c, one 1 per row)
   la::Matrix embedding;       ///< continuous F (n × c, orthonormal columns)
   la::Matrix rotation;        ///< learned rotation R (c × c, orthogonal)
   std::vector<double> view_weights;      ///< final α (normalized to sum 1)
@@ -165,14 +166,6 @@ class UnifiedMVSC {
  private:
   UnifiedOptions options_;
 };
-
-/// The solver's objective value for a given state — exposed for tests of
-/// the monotone-descent property and for the convergence-figure bench.
-double UnifiedObjective(const std::vector<la::CsrMatrix>& laplacians,
-                        const std::vector<double>& weight_coefficients,
-                        double beta, const la::Matrix& f,
-                        const la::Matrix& rotation,
-                        const la::Matrix& indicator_scaled);
 
 }  // namespace umvsc::mvsc
 

@@ -8,20 +8,24 @@
 #include "la/lanczos.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "mvsc/reduced_solve.h"
 #include "mvsc/unified.h"
 
 namespace umvsc::mvsc::internal {
 
-/// Shared building blocks of the unified solver, used by BOTH the exact
-/// n-row path (unified.cc) and the reduced anchor path (anchor_unified.cc).
-/// The two paths must keep identical update semantics — α-step, floors,
-/// discretization repair — so the blocks live here instead of being
-/// duplicated. Nothing outside mvsc/ should include this header.
+/// Shared building blocks of the unified solver: the exact n-row path
+/// (unified.cc) and the reduced anchor and streaming paths
+/// (reduced_solve.cc) run one alternation loop over them. Nothing outside
+/// mvsc/ should include this header.
 
-/// Per-view smoothness h_v = Tr(Fᵀ L_v F) − offsets[v], floored away from
-/// zero. View-parallel with write-disjoint slots; bitwise deterministic.
-std::vector<double> ViewSmoothness(const std::vector<la::CsrMatrix>& laplacians,
-                                   const la::Matrix& f,
+/// Per-view traces Tr(Fᵀ L_v F), fanned out across views into
+/// write-disjoint slots; bitwise deterministic.
+std::vector<double> ViewTraces(const std::vector<la::CsrMatrix>& laplacians,
+                               const la::Matrix& f);
+
+/// Per-view smoothness h_v = traces[v] − offsets[v], floored away from
+/// zero.
+std::vector<double> ViewSmoothness(const std::vector<double>& traces,
                                    const std::vector<double>& offsets);
 
 /// Smallest-eigenpairs dispatch through the block/single shape rule.
@@ -48,11 +52,18 @@ struct Weights {
 Weights UpdateWeights(const std::vector<double>& h, ViewWeighting mode,
                       double gamma);
 
-/// Row-argmax discretization with empty-cluster repair (ties keep the
-/// smaller column index; an empty column steals the best row among clusters
-/// that keep >= 2 members).
-std::vector<std::size_t> DiscretizeRows(const la::Matrix& fr,
-                                        std::size_t num_clusters);
+/// The one G/R/Y/α + polish alternation behind both solvers: spectral
+/// floors (kExcess) → init alternations → G/R/Y/α loop → optional polish,
+/// with Y held as labels throughout. `basis` is the reduced path's
+/// orthonormal B (n × p, F = B·G, each laplacians[v] p × p); null is the
+/// exact path's implicit identity (F = G, each laplacians[v] n × n).
+/// `mass_normalized_warmups` routes the init alternations' combination
+/// through MassNormalizedCombination (the exact path's rule). Callers
+/// validate shapes. Fills `result` as SolveReducedAlternation documents.
+StatusOr<ReducedSolveState> SolveAlternation(
+    const std::vector<la::CsrMatrix>& laplacians, const la::Matrix* basis,
+    bool mass_normalized_warmups, const UnifiedOptions& options,
+    const ReducedSolveControls& controls, UnifiedResult* result);
 
 }  // namespace umvsc::mvsc::internal
 

@@ -7,7 +7,6 @@
 #include "cluster/anchor_embedding.h"
 #include "common/strings.h"
 #include "data/standardize.h"
-#include "exec/executor.h"
 #include "graph/anchors.h"
 #include "la/ops.h"
 #include "la/sparse.h"
@@ -255,29 +254,6 @@ Status StreamingUnifiedMVSC::SolveWindow(
 
 Status StreamingUnifiedMVSC::FullResolve(const std::string& reason,
                                          StreamingUpdateResult* out) {
-  exec::JobExecutor* executor = options_.executor;
-  if (executor == nullptr || executor->OnWorkerThread()) {
-    // No substrate (or already on it): solve on the calling thread with
-    // the plain serial hooks.
-    return FullResolveNow(reason, out, mvsc::SolveHooks());
-  }
-  // Submit as a background job: tenant fits queued as foreground keep
-  // priority, and the solve picks up the worker's scratch. Ingest's caller
-  // blocks on the handle, so `this`, `reason`, and `out` safely outlive the
-  // job.
-  exec::JobSpec spec;
-  spec.name = "stream-full-resolve";
-  spec.background = true;
-  spec.thread_budget = options_.resolve_thread_budget;
-  spec.work = [this, &reason, out](exec::JobContext& context) -> Status {
-    return FullResolveNow(reason, out, context.hooks());
-  };
-  return executor->Submit(std::move(spec)).Await();
-}
-
-Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
-                                            StreamingUpdateResult* out,
-                                            const mvsc::SolveHooks& hooks) {
   // Compact so the flat arrays and the matrices built from them share row 0.
   CompactWindow();
 
@@ -372,10 +348,8 @@ Status StreamingUnifiedMVSC::FullResolveNow(const std::string& reason,
         emb->embedding.data() + rows_ * emb->embedding.cols());
   }
 
-  mvsc::UnifiedOptions solve_opts = uopts;
-  solve_opts.hooks = hooks;
   UMVSC_RETURN_IF_ERROR(
-      SolveWindow(solve_opts, /*warm=*/false, /*polish=*/true, out));
+      SolveWindow(uopts, /*warm=*/false, /*polish=*/true, out));
   baseline_objective_ = out->objective;
   baseline_smoothness_ = out->view_smoothness;
   model_ready_ = true;

@@ -5,6 +5,8 @@
 // leaving it disabled must not disturb the exact path).
 #include "mvsc/anchor_unified.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -15,6 +17,7 @@
 #include "eval/metrics.h"
 #include "la/ops.h"
 #include "mvsc/unified.h"
+#include "test_util.h"
 
 namespace umvsc::mvsc {
 namespace {
@@ -75,15 +78,7 @@ TEST(AnchorUnifiedTest, OutputInvariantsHold) {
   UnifiedMVSC solver(AnchorOptions(4));
   StatusOr<UnifiedResult> result = solver.Run(dataset);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->labels.size(), n);
-  ASSERT_EQ(result->indicator.rows(), n);
-  ASSERT_EQ(result->indicator.cols(), 4u);
-  for (std::size_t i = 0; i < n; ++i) {
-    double row_sum = 0.0;
-    for (std::size_t j = 0; j < 4; ++j) row_sum += result->indicator(i, j);
-    EXPECT_DOUBLE_EQ(row_sum, 1.0);
-    EXPECT_DOUBLE_EQ(result->indicator(i, result->labels[i]), 1.0);
-  }
+  test::ExpectValidLabels(result->labels, n, 4);
   // F = B·G keeps orthonormal columns (B orthonormal, G orthonormal).
   ASSERT_EQ(result->embedding.rows(), n);
   ASSERT_EQ(result->embedding.cols(), 4u);
@@ -98,6 +93,25 @@ TEST(AnchorUnifiedTest, OutputInvariantsHold) {
   // The objective trace is finite and the run reports convergence state.
   ASSERT_FALSE(result->objective_trace.empty());
   EXPECT_GT(result->iterations, 0u);
+}
+
+// The reduced path's counterpart of the exact path's ObjectiveTraceSettles:
+// the G/R/Y/α trace ends no higher than it starts, and a converged tail is
+// stable.
+TEST(AnchorUnifiedTest, ObjectiveTraceSettles) {
+  data::MultiViewDataset dataset = MakeDataset(36);
+  UnifiedOptions options = AnchorOptions(4);
+  options.max_iterations = 40;
+  StatusOr<UnifiedResult> result = UnifiedMVSC(options).Run(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<double>& trace = result->objective_trace;
+  ASSERT_GE(trace.size(), 2u);
+  EXPECT_LE(trace.back(), trace.front() + 1e-9);
+  if (result->converged) {
+    const double last = trace[trace.size() - 1];
+    const double prev = trace[trace.size() - 2];
+    EXPECT_NEAR(last, prev, 1e-4 * std::max(1.0, std::abs(prev)));
+  }
 }
 
 TEST(AnchorUnifiedTest, ThreadCountDoesNotChangeLabels) {

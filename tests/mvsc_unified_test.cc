@@ -7,6 +7,7 @@
 #include "data/synthetic.h"
 #include "eval/metrics.h"
 #include "la/ops.h"
+#include "test_util.h"
 
 namespace umvsc::mvsc {
 namespace {
@@ -59,15 +60,8 @@ TEST(UnifiedMvscTest, OutputInvariantsHold) {
   StatusOr<UnifiedResult> result = solver.Run(problem.graphs);
   ASSERT_TRUE(result.ok());
   const std::size_t n = problem.graphs.NumSamples();
-  // Indicator is one-hot per row and matches labels.
-  ASSERT_EQ(result->indicator.rows(), n);
-  ASSERT_EQ(result->indicator.cols(), 3u);
-  for (std::size_t i = 0; i < n; ++i) {
-    double row_sum = 0.0;
-    for (std::size_t j = 0; j < 3; ++j) row_sum += result->indicator(i, j);
-    EXPECT_DOUBLE_EQ(row_sum, 1.0);
-    EXPECT_DOUBLE_EQ(result->indicator(i, result->labels[i]), 1.0);
-  }
+  // The indicator, held as labels: one per row, in range, no empty cluster.
+  test::ExpectValidLabels(result->labels, n, 3);
   // F on the Stiefel manifold, R orthogonal.
   EXPECT_LT(la::OrthonormalityError(result->embedding), 1e-8);
   EXPECT_LT(la::OrthonormalityError(result->rotation), 1e-9);

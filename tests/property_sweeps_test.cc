@@ -124,8 +124,9 @@ INSTANTIATE_TEST_SUITE_P(Ks, LanczosKSweep, ::testing::Values(1, 2, 3, 5, 8,
 // ------------------------------------------------------------------ unified
 
 // Property: across (clusters, views) configurations, the unified solver
-// produces structurally valid output (one-hot indicator, orthonormal F and
-// R, simplex weights) and beats chance on well-separated data.
+// produces structurally valid output (labels in range with no empty
+// cluster, orthonormal F and R, simplex weights) and beats chance on
+// well-separated data.
 class UnifiedShapeSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -162,13 +163,8 @@ TEST_P(UnifiedShapeSweep, StructurallyValidAndBetterThanChance) {
     weight_sum += w;
   }
   EXPECT_NEAR(weight_sum, 1.0, 1e-9);
-  for (std::size_t i = 0; i < result->indicator.rows(); ++i) {
-    double row_sum = 0.0;
-    for (std::size_t j = 0; j < result->indicator.cols(); ++j) {
-      row_sum += result->indicator(i, j);
-    }
-    EXPECT_DOUBLE_EQ(row_sum, 1.0);
-  }
+  test::ExpectValidLabels(result->labels, dataset->NumSamples(),
+                          static_cast<std::size_t>(c));
   auto acc = eval::ClusteringAccuracy(result->labels, dataset->labels);
   ASSERT_TRUE(acc.ok());
   // Far above the 1/c chance level (capped: perfect accuracy must pass).

@@ -2,6 +2,9 @@
 #define UMVSC_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "la/matrix.h"
@@ -46,6 +49,21 @@ inline la::Matrix SymmetricWithSpectrum(const la::Vector& evals,
     for (std::size_t j = 0; j < n; ++j) vd(i, j) *= evals[j];
   }
   return la::MatMulT(vd, v);
+}
+
+/// The discrete indicator held as labels is well formed: one label per
+/// row, every label in [0, c), and no cluster left empty.
+inline void ExpectValidLabels(const std::vector<std::size_t>& labels,
+                              std::size_t n, std::size_t c) {
+  ASSERT_EQ(labels.size(), n);
+  std::vector<std::size_t> counts(c, 0);
+  for (std::size_t label : labels) {
+    ASSERT_LT(label, c);
+    ++counts[label];
+  }
+  for (std::size_t j = 0; j < c; ++j) {
+    EXPECT_GT(counts[j], 0u) << "cluster " << j << " is empty";
+  }
 }
 
 }  // namespace umvsc::test
