@@ -1,7 +1,7 @@
 // Closed-loop serving benchmark of the high-QPS path: an ORL-shaped anchor
 // model is fitted once, persisted through serve::ModelSerializer, loaded
 // into a warm serve::ModelRegistry, and then hammered with out-of-sample
-// queries — a per-point Predict leg (the pre-batching baseline), batched
+// queries — a per-point Predict leg (one point per call), batched
 // Assign legs across batch sizes, and a mixed single/batch closed loop.
 // Every leg reports throughput (points/s) and per-call latency quantiles
 // (p50/p99), and the run cross-checks the determinism contract: batched
@@ -27,6 +27,7 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "data/synthetic.h"
+#include "la/gemm_kernel.h"
 #include "mvsc/anchor_unified.h"
 #include "mvsc/out_of_sample.h"
 #include "serve/batch_assign.h"
@@ -181,29 +182,30 @@ int main(int argc, char** argv) {
   const mvsc::OutOfSampleModel& model = **handle;
 
   // --- Parity gate first: batched labels must equal per-point labels
-  // bitwise at every thread count before any throughput is reported.
+  // (each point its own one-row batch, the serial-dot branch of the row
+  // kernel) bitwise at every thread count before any throughput is
+  // reported.
   const std::size_t parity_points = smoke ? 256 : 512;
   const data::MultiViewDataset parity_batch = Slice(serve_pool, 0,
                                                     parity_points);
-  StatusOr<std::vector<std::size_t>> serial_labels =
-      model.Predict(parity_batch);
-  if (!serial_labels.ok()) return Fail(serial_labels.status().ToString().c_str());
+  std::vector<std::size_t> per_point_labels;
+  for (std::size_t i = 0; i < parity_points; ++i) {
+    StatusOr<std::vector<std::size_t>> one =
+        model.Predict(Slice(parity_batch, i, 1));
+    if (!one.ok()) return Fail(one.status().ToString().c_str());
+    per_point_labels.push_back(one->front());
+  }
   const std::size_t max_threads = std::max<std::size_t>(8, DefaultNumThreads());
   const std::size_t thread_counts[] = {1, 2, max_threads};
   bool parity = true;
   for (std::size_t t : thread_counts) {
     ScopedNumThreads scope(t);
-    // Odd tile heights shift every tile boundary — parity must hold there
-    // too, not just at the default tiling.
-    serve::AssignOptions tiling;
-    tiling.tile_rows = (t == 2) ? 37 : 64;
-    StatusOr<std::vector<std::size_t>> batched =
-        serve::BatchAssigner(*handle, tiling).Assign(parity_batch);
+    StatusOr<std::vector<std::size_t>> batched = assigner.Assign(parity_batch);
     if (!batched.ok()) return Fail(batched.status().ToString().c_str());
-    parity = parity && (*batched == *serial_labels);
+    parity = parity && (*batched == per_point_labels);
   }
 
-  // --- Per-point leg: the pre-batching baseline, one Predict per point on
+  // --- Per-point leg: the baseline, one Predict per point on
   // pre-sliced single-point datasets (slicing outside the timed loop).
   const std::size_t per_point_count = smoke ? 256 : 1024;
   std::vector<data::MultiViewDataset> singles;
@@ -310,6 +312,9 @@ int main(int argc, char** argv) {
     if (f == nullptr) return Fail("cannot open json output");
     std::fprintf(f, "{\n  \"bench\": \"serving_qps\",\n");
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+    std::fprintf(f, "  \"host\": {\"nproc\": %zu, \"simd_backend\": \"%s\"},\n",
+                 umvsc::HardwareThreads(),
+                 umvsc::la::kernel::ActiveBackendName());
     std::fprintf(f,
                  "  \"model\": {\"dataset\": \"%s\", \"train_points\": %zu, "
                  "\"view_dims\": [%zu, %zu, %zu], \"num_clusters\": %zu, "

@@ -25,6 +25,7 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "data/synthetic.h"
+#include "la/gemm_kernel.h"
 #include "eval/metrics.h"
 #include "stream/streaming_unified.h"
 
@@ -164,6 +165,9 @@ void WriteJson(const std::string& path, bool smoke, const SweepConfig& cfg,
   }
   std::fprintf(f, "{\n  \"benchmark\": \"stream_sweep\",\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(f, "  \"host\": {\"nproc\": %zu, \"simd_backend\": \"%s\"},\n",
+               umvsc::HardwareThreads(),
+               umvsc::la::kernel::ActiveBackendName());
   std::fprintf(f,
                "  \"config\": {\"batch_size\": %zu, \"num_batches\": %zu, "
                "\"window\": %zu, \"views\": 3, \"clusters\": 5, "

@@ -7,7 +7,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/distance.h"
-#include "graph/tiled_select.h"
+#include "la/gemm_kernel.h"
 
 namespace umvsc::graph {
 
@@ -124,7 +124,98 @@ la::Matrix KmeansppRefineAnchors(const la::Matrix& x,
   return centers;
 }
 
+// x·y on la::kernel::GemmAdd's accumulation grid: a serial ascending partial
+// per kKc block, partials added in ascending block order — bitwise equal to
+// a zero-initialized GemmAdd element with inner dimension k.
+double BlockedDot(const double* x, const double* y, std::size_t k) {
+  double acc = 0.0;
+  for (std::size_t kk = 0; kk < k; kk += la::kernel::kKc) {
+    const std::size_t kcb = std::min(la::kernel::kKc, k - kk);
+    double partial = 0.0;
+    for (std::size_t q = 0; q < kcb; ++q) partial += x[kk + q] * y[kk + q];
+    acc += partial;
+  }
+  return acc;
+}
+
+// The selection and weighting half of AnchorRows for one dense row of m
+// squared distances.
+void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
+                     std::size_t* cols, double* weights) {
+  // Bounded s-best insertion; `weights` holds the kept squared distances in
+  // rank (ascending-distance) order until they are turned into weights.
+  // Strict comparisons on both the skip and the shift keep ties on the
+  // smaller anchor index.
+  std::size_t filled = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double v = d2[j];
+    if (filled == s && v >= weights[s - 1]) continue;
+    std::size_t q = filled < s ? filled : s - 1;
+    while (q > 0 && weights[q - 1] > v) {
+      weights[q] = weights[q - 1];
+      cols[q] = cols[q - 1];
+      --q;
+    }
+    weights[q] = v;
+    cols[q] = j;
+    if (filled < s) ++filled;
+  }
+  // Self-tuning bandwidth = the worst kept distance; weights accumulate in
+  // rank order (a fixed order per row, independent of anchor indices).
+  const double sigma2 = std::max(weights[s - 1], 1e-300);
+  double sum = 0.0;
+  for (std::size_t r = 0; r < s; ++r) {
+    weights[r] = std::exp(-weights[r] / sigma2);
+    sum += weights[r];
+  }
+  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
+  for (std::size_t r = 0; r < s; ++r) weights[r] *= inv;
+  // Insertion sort to ascending anchor order (s is small), weights ride
+  // along — the CSR column invariant.
+  for (std::size_t r = 1; r < s; ++r) {
+    const std::size_t cr = cols[r];
+    const double wr = weights[r];
+    std::size_t q = r;
+    while (q > 0 && cols[q - 1] > cr) {
+      cols[q] = cols[q - 1];
+      weights[q] = weights[q - 1];
+      --q;
+    }
+    cols[q] = cr;
+    weights[q] = wr;
+  }
+}
+
 }  // namespace
+
+void AnchorRows(const double* x, std::size_t rows, const la::Matrix& anchors,
+                const la::Vector& anchor_sq_norms, std::size_t s,
+                std::size_t* cols, double* weights) {
+  const std::size_t m = anchors.rows();
+  const std::size_t d = anchors.cols();
+  std::vector<double> dots(rows * m, 0.0);
+  if (rows == 1) {
+    // Packing the anchor panel would cost more than one row's dots; these
+    // sit on the GEMM's kc grid, so the bits are the same.
+    for (std::size_t j = 0; j < m; ++j) {
+      dots[j] = BlockedDot(x, anchors.RowPtr(j), d);
+    }
+  } else {
+    // dots(i, j) = x_i·a_j, the anchors read as a transposed operand.
+    la::kernel::GemmAdd(m, d, {x, d, false}, {anchors.data(), d, true},
+                        dots.data(), m, 0, rows);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* xi = x + i * d;
+    double nx = 0.0;
+    for (std::size_t p = 0; p < d; ++p) nx += xi[p] * xi[p];
+    double* d2 = dots.data() + i * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      d2[j] = std::max(0.0, nx + anchor_sq_norms[j] - 2.0 * d2[j]);
+    }
+    SelectAnchorRow(d2, m, s, cols + i * s, weights + i * s);
+  }
+}
 
 StatusOr<la::Matrix> SelectAnchors(const la::Matrix& x,
                                    const AnchorOptions& options) {
@@ -166,52 +257,19 @@ StatusOr<la::CsrMatrix> BuildAnchorAffinity(const la::Matrix& x,
         "BuildAnchorAffinity requires 1 <= anchor_neighbors <= anchors");
   }
 
-  const la::Vector x_norms = RowSquaredNorms(x);
   const la::Vector a_norms = RowSquaredNorms(anchors);
-  const internal::DirectedSelection sel = internal::TiledSelectRect(
-      n, m, s, /*largest=*/false, options.tile_rows,
-      [&](std::size_t r0, std::size_t r1, double* panel) {
-        CrossSquaredDistancePanel(x, x_norms, anchors, a_norms, r0, r1, panel);
-      });
-
-  // Weight + normalize + column-sort each row. Every row depends only on its
-  // own selection (its bandwidth is its own s-th-nearest distance), so the
-  // pass is row-parallel, write-disjoint, and bitwise deterministic. The
-  // weight sum is accumulated in rank order (a fixed order per row), NOT in
-  // column order, so it too is a pure function of the row.
+  const std::size_t tile = std::max<std::size_t>(1, options.tile_rows);
   std::vector<std::size_t> row_offsets(n + 1);
   for (std::size_t i = 0; i <= n; ++i) row_offsets[i] = i * s;
   std::vector<std::size_t> cols(n * s);
   std::vector<double> vals(n * s);
-  ParallelFor(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t base = i * s;
-      // Rank order is ascending distance: the last kept entry is the s-th
-      // nearest, whose squared distance is the self-tuning bandwidth.
-      const double sigma2 = std::max(sel.vals[base + s - 1], 1e-300);
-      double sum = 0.0;
-      for (std::size_t r = 0; r < s; ++r) {
-        const double w = std::exp(-sel.vals[base + r] / sigma2);
-        cols[base + r] = sel.cols[base + r];
-        vals[base + r] = w;
-        sum += w;
-      }
-      const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
-      for (std::size_t r = 0; r < s; ++r) vals[base + r] *= inv;
-      // Insertion sort to ascending column order (s is small), values ride
-      // along — CSR requires strictly ascending columns per row.
-      for (std::size_t r = 1; r < s; ++r) {
-        const std::size_t cr = cols[base + r];
-        const double vr = vals[base + r];
-        std::size_t q = r;
-        while (q > 0 && cols[base + q - 1] > cr) {
-          cols[base + q] = cols[base + q - 1];
-          vals[base + q] = vals[base + q - 1];
-          --q;
-        }
-        cols[base + q] = cr;
-        vals[base + q] = vr;
-      }
+  // Chunk boundaries are multiples of `tile`, so every AnchorRows call is
+  // one whole tile (the last may be short) whatever the thread count.
+  ParallelFor(0, n, tile, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r0 = lo; r0 < hi; r0 += tile) {
+      const std::size_t rows = std::min(tile, hi - r0);
+      AnchorRows(x.RowPtr(r0), rows, anchors, a_norms, s,
+                 cols.data() + r0 * s, vals.data() + r0 * s);
     }
   });
   return la::CsrMatrix::FromParts(n, m, std::move(row_offsets),

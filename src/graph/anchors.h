@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "la/matrix.h"
 #include "la/sparse.h"
+#include "la/vector.h"
 
 namespace umvsc::graph {
 
@@ -58,19 +59,39 @@ struct AnchorGraphOptions {
   std::size_t tile_rows = 128;
 };
 
-/// Builds the bipartite anchor affinity Z (n × m CSR, s nonzeros per row):
-/// point i connects to its s nearest anchors j with self-tuning Gaussian
-/// weights exp(−d²_ij / σ²_i), σ²_i = the s-th-nearest squared distance
-/// (clamped away from zero), then each row is normalized to sum to 1 — so Z
-/// is row-stochastic and the implicit affinity Ẑ·Ẑᵀ has spectrum in [0, 1].
-/// Ties at the s-th distance keep the smaller anchor index (the BoundedTopK
-/// rule); within a row, columns are stored in ascending anchor order.
+/// The anchor row rule, written once for training, streaming and serving.
+/// For each of `rows` standardized points (row-major at `x`, stride
+/// anchors.cols()) it selects the s nearest anchors (ties keep the smaller
+/// anchor index), weights them exp(−d²_ij / σ²_i) with the self-tuning
+/// bandwidth σ²_i = the s-th-nearest squared distance (floored at 1e-300),
+/// normalizes the weights to sum to 1 (summed in rank order, scaled by the
+/// reciprocal), and writes the s columns and weights of row i at
+/// cols/weights + i·s in ascending anchor order — ready to drop into a CSR
+/// row.
 ///
-/// Runs on tile_rows × m distance panels through the tiled selection core:
-/// peak auxiliary memory is O(tile_rows·m) per participating thread plus the
-/// O(n·s) output — never an n × m dense buffer — and the result is bitwise
-/// identical at every tile size and thread count. Requires
-/// 1 <= anchor_neighbors <= anchors.rows() and matching feature dims.
+/// Distances use the Gram expansion max(0, ‖x‖² + ‖a_j‖² − 2·x·a_j) with
+/// ‖x‖² summed in ascending-feature order (the RowSquaredNorms convention)
+/// and `anchor_sq_norms` = RowSquaredNorms(anchors). The dots of a tile come
+/// from one la::kernel::GemmAdd panel; a one-row tile takes serial dots on
+/// the same kc grid instead (packing the anchor panel for one row costs more
+/// than the dots). Every dot therefore has one bit pattern whatever tile it
+/// lands in, so any tiling of the same points gives bitwise-identical rows.
+/// Serial: the inner kernel of tile-parallel loops. Requires
+/// 1 <= s <= anchors.rows().
+void AnchorRows(const double* x, std::size_t rows, const la::Matrix& anchors,
+                const la::Vector& anchor_sq_norms, std::size_t s,
+                std::size_t* cols, double* weights);
+
+/// Builds the bipartite anchor affinity Z (n × m CSR, s nonzeros per row):
+/// row i is AnchorRows applied to point i, so Z is row-stochastic, columns
+/// ascend within each row, and the implicit affinity Ẑ·Ẑᵀ has spectrum in
+/// [0, 1].
+///
+/// Runs AnchorRows over tile_rows-high tiles in parallel: peak auxiliary
+/// memory is O(tile_rows·m) per participating thread plus the O(n·s) output
+/// — never an n × m dense buffer — and the result is bitwise identical at
+/// every tile size and thread count. Requires 1 <= anchor_neighbors <=
+/// anchors.rows() and matching feature dims.
 StatusOr<la::CsrMatrix> BuildAnchorAffinity(
     const la::Matrix& x, const la::Matrix& anchors,
     const AnchorGraphOptions& options = {});

@@ -76,26 +76,6 @@ void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
   }
 }
 
-void CrossSquaredDistancePanel(const la::Matrix& x,
-                               const la::Vector& x_sq_norms,
-                               const la::Matrix& y,
-                               const la::Vector& y_sq_norms, std::size_t r0,
-                               std::size_t r1, double* panel) {
-  const std::size_t m = y.rows();
-  const std::size_t d = x.cols();
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* ri = x.RowPtr(i);
-    const double ni = x_sq_norms[i];
-    double* prow = panel + (i - r0) * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* rj = y.RowPtr(j);
-      double s = 0.0;
-      for (std::size_t p = 0; p < d; ++p) s += ri[p] * rj[p];
-      prow[j] = std::max(0.0, ni + y_sq_norms[j] - 2.0 * s);
-    }
-  }
-}
-
 la::Matrix CosineSimilarity(const la::Matrix& x) {
   const std::size_t n = x.rows();
   la::Matrix gram = la::OuterGram(x);

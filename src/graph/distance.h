@@ -43,22 +43,6 @@ la::Vector RowSquaredNorms(const la::Matrix& x);
 void SquaredDistancePanel(const la::Matrix& x, const la::Vector& sq_norms,
                           std::size_t r0, std::size_t r1, double* panel);
 
-/// Bipartite sibling of SquaredDistancePanel: fills a row-tile panel of
-/// squared distances from rows of `x` to ALL rows of `y`
-///   panel(i − r0, j) = max(0, ‖x_i‖² + ‖y_j‖² − 2·x_i·y_j)
-/// for i in [r0, r1), j in [0, y.rows()). `x_sq_norms` / `y_sq_norms` must
-/// be RowSquaredNorms of the respective matrices and `panel` must provide
-/// (r1 − r0) × y.rows() entries. No self-skip — the row and column sets are
-/// different objects. Same Gram expansion, ascending dot order, and clamp as
-/// SquaredDistancePanel, so the entries are a pure function of the two rows:
-/// tiled consumers are bitwise identical at every tile size and thread
-/// count. Serial by design: the inner kernel of tile-parallel loops.
-void CrossSquaredDistancePanel(const la::Matrix& x,
-                               const la::Vector& x_sq_norms,
-                               const la::Matrix& y,
-                               const la::Vector& y_sq_norms, std::size_t r0,
-                               std::size_t r1, double* panel);
-
 }  // namespace umvsc::graph
 
 #endif  // UMVSC_GRAPH_DISTANCE_H_

@@ -1,96 +1,35 @@
 #include "mvsc/anchor_assign.h"
 
-#include <cmath>
+#include <algorithm>
+#include <vector>
 
-namespace umvsc::mvsc::assign {
+#include "data/standardize.h"
+#include "graph/anchors.h"
 
-double BlockedDot(const double* x, const double* y, std::size_t k) {
-  double acc = 0.0;
-  for (std::size_t kk = 0; kk < k; kk += kGemmKcBlock) {
-    const std::size_t kcb = std::min(kGemmKcBlock, k - kk);
-    double partial = 0.0;
-    for (std::size_t q = 0; q < kcb; ++q) {
-      partial += x[kk + q] * y[kk + q];
-    }
-    acc += partial;
+namespace umvsc::mvsc {
+
+void ExtendAnchorRows(const AnchorViewModel& view,
+                      const la::Vector& anchor_sq_norms, std::size_t s,
+                      const double* raw, std::size_t rows, std::size_t* cols,
+                      double* weights, double* u, std::size_t u_stride) {
+  const std::size_t d = view.anchors.cols();
+  const std::size_t k = view.anchor_map.cols();
+  std::vector<double> x(rows * d);
+  for (std::size_t i = 0; i < rows; ++i) {
+    data::ApplyStandardizationRow(raw + i * d, d, view.feature_means,
+                                  view.feature_inv_stds, x.data() + i * d);
   }
-  return acc;
-}
-
-double RowSquaredNorm(const double* x, std::size_t k) {
-  double s = 0.0;
-  for (std::size_t p = 0; p < k; ++p) s += x[p] * x[p];
-  return s;
-}
-
-void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
-                     std::size_t* cols, double* weights) {
-  // Bounded s-best insertion; `weights` holds the kept squared distances in
-  // rank (ascending-distance) order until they are turned into weights.
-  // Strict comparisons on both the skip and the shift keep ties on the
-  // smaller anchor index, matching graph::internal::BoundedTopK.
-  std::size_t filled = 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double v = d2[j];
-    if (filled == s && v >= weights[s - 1]) continue;
-    std::size_t q = filled < s ? filled : s - 1;
-    while (q > 0 && weights[q - 1] > v) {
-      weights[q] = weights[q - 1];
-      cols[q] = cols[q - 1];
-      --q;
-    }
-    weights[q] = v;
-    cols[q] = j;
-    if (filled < s) ++filled;
-  }
-  // Self-tuning bandwidth = the worst kept distance; weights accumulate in
-  // rank order (a fixed order per row, independent of anchor indices).
-  const double sigma2 = std::max(weights[s - 1], 1e-300);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < s; ++r) {
-    weights[r] = std::exp(-weights[r] / sigma2);
-    sum += weights[r];
-  }
-  const double inv = 1.0 / sum;  // sum >= exp(-1) by construction
-  for (std::size_t r = 0; r < s; ++r) weights[r] *= inv;
-  // Insertion sort to ascending anchor order (s is small), weights ride
-  // along — the CSR column invariant and the accumulation order of the
-  // coordinate map.
-  for (std::size_t r = 1; r < s; ++r) {
-    const std::size_t cr = cols[r];
-    const double wr = weights[r];
-    std::size_t q = r;
-    while (q > 0 && cols[q - 1] > cr) {
-      cols[q] = cols[q - 1];
-      weights[q] = weights[q - 1];
-      --q;
-    }
-    cols[q] = cr;
-    weights[q] = wr;
-  }
-}
-
-void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out) {
-  const std::size_t p = a.rows();
-  const std::size_t c = a.cols();
-  for (std::size_t kk = 0; kk < p; kk += kGemmKcBlock) {
-    const std::size_t kcb = std::min(kGemmKcBlock, p - kk);
-    for (std::size_t j = 0; j < c; ++j) {
-      double partial = 0.0;
-      for (std::size_t q = 0; q < kcb; ++q) {
-        partial += u[kk + q] * a(kk + q, j);
-      }
-      out[j] += partial;
+  graph::AnchorRows(x.data(), rows, view.anchors, anchor_sq_norms, s, cols,
+                    weights);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double* u_row = u + i * u_stride;
+    std::fill(u_row, u_row + k, 0.0);
+    for (std::size_t r = 0; r < s; ++r) {
+      const double w = weights[i * s + r];
+      const double* map_row = view.anchor_map.RowPtr(cols[i * s + r]);
+      for (std::size_t t = 0; t < k; ++t) u_row[t] += w * map_row[t];
     }
   }
 }
 
-std::size_t RowArgMax(const double* scores, std::size_t c) {
-  std::size_t best = 0;
-  for (std::size_t j = 1; j < c; ++j) {
-    if (scores[j] > scores[best]) best = j;
-  }
-  return best;
-}
-
-}  // namespace umvsc::mvsc::assign
+}  // namespace umvsc::mvsc

@@ -1,79 +1,41 @@
 #ifndef UMVSC_MVSC_ANCHOR_ASSIGN_H_
 #define UMVSC_MVSC_ANCHOR_ASSIGN_H_
 
-#include <algorithm>
 #include <cstddef>
 
-#include "la/matrix.h"
+#include "la/vector.h"
+#include "mvsc/anchor_unified.h"
 
-// Shared arithmetic of anchor-model serving — the primitives BOTH the
-// per-point path (OutOfSampleModel::Predict) and the batched path
-// (serve::BatchAssigner::Assign) are built from, so the two produce
-// bitwise-identical labels by construction rather than by luck:
-//
-//   distances   d²(x, a_j) = max(0, ‖x‖² + ‖a_j‖² − 2·x·a_j), the Gram
-//               expansion of graph::CrossSquaredDistancePanel, with the dot
-//               on the kc-blocked accumulation grid of la::kernel::GemmAdd
-//               (BlockedDot below). A batched GemmAdd dot panel and a
-//               per-point BlockedDot therefore agree bit for bit — and both
-//               equal the training-side scalar dot whenever d ≤ kGemmKcBlock.
-//   selection   SelectAnchorRow: the exact row rule of
-//               graph::BuildAnchorAffinity (s nearest anchors, ties to the
-//               smaller index, self-tuning bandwidth = own s-th-nearest
-//               squared distance, Gaussian weights summed in rank order,
-//               normalized, sorted to ascending anchor order).
-//   coordinates ascending-column accumulation u = z·anchor_map — the
-//               documented element order of CsrMatrix::MultiplyInto, so a
-//               per-point loop equals the batched SpMM.
-//   scores      BlockedVecMatAdd: scores += u·assignment on the same GemmAdd
-//               kc grid, so a per-point vector-matrix product equals a row of
-//               the batched la::MatMul.
-//   argmax      RowArgMax: strict >, ties keep the smaller cluster index,
-//               matching the training discretization.
-//
+// Extending raw points through one view of a fitted anchor model — the one
+// helper OutOfSampleModel::Predict (and so serve::BatchAssigner) and
+// StreamingUnifiedMVSC's frozen-model ingest share. The anchor row itself is
+// graph::AnchorRows, the same kernel graph::BuildAnchorAffinity runs at
+// training time, so a point gets the same z row, bit for bit, whether it is
+// fitted, streamed or served, at every tile size and thread count.
 // docs/SERVING.md spells out the full determinism contract.
 
-namespace umvsc::mvsc::assign {
+namespace umvsc::mvsc {
 
-/// The kc block edge of la::kernel::GemmAdd's accumulation grid. Pinned
-/// against the kernel by mvsc_anchor_assign_test (BlockedDot must equal a
-/// 1×1 GemmAdd at every k); if the kernel's kc ever changes, that test and
-/// this constant must move together.
-inline constexpr std::size_t kGemmKcBlock = 256;
+/// Row height of the extension tiles Predict and the streaming ingest run
+/// in parallel: a 256-point serving batch is four tiles, one per thread of
+/// a 4-core pool. A layout choice only — rows are bitwise independent of
+/// it.
+inline constexpr std::size_t kAnchorTileRows = 64;
 
-/// x·y accumulated on the GemmAdd element grid: serial ascending partial
-/// per kc block, partials folded in ascending block order. Bitwise equal to
-/// a zero-initialized GemmAdd element with inner dimension k, and to the
-/// plain ascending dot when k ≤ kGemmKcBlock.
-double BlockedDot(const double* x, const double* y, std::size_t k);
+/// Extends `rows` raw points of one view (row-major at `raw`, stride
+/// view.anchors.cols()): standardizes them with the view's statistics, runs
+/// graph::AnchorRows against the view's anchors (`anchor_sq_norms` =
+/// graph::RowSquaredNorms(view.anchors)), and writes row i's s anchor
+/// columns and weights at cols/weights + i·s, and u_i = z_i·anchor_map at
+/// u + i·u_stride (k = anchor_map.cols() entries; the rest of a wider row
+/// is untouched), accumulated from zero in ascending anchor order — the
+/// element order of CsrMatrix::MultiplyInto, so u equals the training
+/// embedding Z·anchor_map bitwise. Serial.
+void ExtendAnchorRows(const AnchorViewModel& view,
+                      const la::Vector& anchor_sq_norms, std::size_t s,
+                      const double* raw, std::size_t rows, std::size_t* cols,
+                      double* weights, double* u, std::size_t u_stride);
 
-/// ‖x‖² in ascending-feature order — the graph::RowSquaredNorms convention.
-double RowSquaredNorm(const double* x, std::size_t k);
-
-/// The Gram-expansion squared distance, clamped at zero exactly as
-/// graph::CrossSquaredDistancePanel clamps it.
-inline double SquaredFromDot(double nx, double na, double dot) {
-  return std::max(0.0, nx + na - 2.0 * dot);
-}
-
-/// graph::BuildAnchorAffinity's row rule applied to one dense distance row:
-/// selects the s nearest of the m squared distances in `d2` (ascending
-/// distance, ties keep the smaller anchor index), turns them into
-/// normalized self-tuning Gaussian weights (bandwidth = the s-th-nearest
-/// squared distance, floored at 1e-300; weights summed in rank order), and
-/// writes them in ascending anchor order — ready to drop into a CSR row.
-/// `cols` and `weights` must hold s entries. Requires 1 ≤ s ≤ m.
-void SelectAnchorRow(const double* d2, std::size_t m, std::size_t s,
-                     std::size_t* cols, double* weights);
-
-/// out[j] += (u·a)[j] for a row vector u of a.rows() entries, accumulated
-/// on the GemmAdd kc grid — bitwise equal to the corresponding row of
-/// la::MatMul(U, a) for any inner dimension.
-void BlockedVecMatAdd(const double* u, const la::Matrix& a, double* out);
-
-/// Index of the row maximum; strict >, so ties keep the smaller index.
-std::size_t RowArgMax(const double* scores, std::size_t c);
-
-}  // namespace umvsc::mvsc::assign
+}  // namespace umvsc::mvsc
 
 #endif  // UMVSC_MVSC_ANCHOR_ASSIGN_H_

@@ -55,11 +55,10 @@ class OutOfSampleModel {
   /// training label (the anchor path assigns labels through the same chain;
   /// mvsc_out_of_sample_test pins this).
   ///
-  /// Every arithmetic step runs on the shared serving primitives of
-  /// mvsc/anchor_assign.h (Gram-expansion distances on the GemmAdd kc grid,
-  /// the BuildAnchorAffinity row rule, ascending-column coordinate
-  /// accumulation, kc-blocked scoring), which is what makes the batched
-  /// path (serve::BatchAssigner) bitwise identical to this one.
+  /// Points run in parallel tiles of kAnchorTileRows through
+  /// mvsc/anchor_assign.h's ExtendAnchorRows — graph::AnchorRows, the
+  /// kernel the training graph is built with — so labels are bitwise
+  /// identical at every batch size, tile split and thread count.
   static StatusOr<OutOfSampleModel> FitAnchor(AnchorModel model);
 
   /// Predicts cluster ids for new points given as a multi-view batch with
@@ -70,16 +69,10 @@ class OutOfSampleModel {
 
   std::size_t num_clusters() const { return num_clusters_; }
 
-  /// The anchor serving model, when this model came from FitAnchor (the
-  /// batched serve path reads it); nullopt for exact-path models.
+  /// The anchor serving model, when this model came from FitAnchor;
+  /// nullopt for exact-path models.
   const std::optional<AnchorModel>& anchor_model() const {
     return anchor_model_;
-  }
-
-  /// Per-view squared norms of the anchor rows, cached by FitAnchor for the
-  /// Gram-expansion serving distances. Parallel to anchor_model()->views.
-  const std::vector<la::Vector>& anchor_sq_norms() const {
-    return anchor_sq_norms_;
   }
 
  private:

@@ -9,6 +9,7 @@
 #include "data/dataset.h"
 #include "la/matrix.h"
 #include "la/vector.h"
+#include "mvsc/anchor_unified.h"
 #include "mvsc/unified.h"
 
 namespace umvsc::stream {
@@ -94,8 +95,8 @@ struct StreamingUpdateResult {
 ///                 SolveUnifiedAnchors on the window.
 ///   incremental   the per-view model (anchors, standardization,
 ///                 anchor_map) stays FROZEN — the degree normalization is
-///                 recomputed from the live window; each new point extends
-///                 in O(s·k) per view through the serving row rule
+///                 recomputed from the live window; new points extend in
+///                 O(m·d + s·k) per view through the serving helper
 ///                 (mvsc/anchor_assign.h), window rows append/evict in
 ///                 O(1) amortized on flat uniform-stride arrays (no CSR
 ///                 rebuild), the joint basis and reduced Laplacians are
@@ -145,11 +146,8 @@ class StreamingUnifiedMVSC {
   /// advance and appending is a push_back — never a CSR rebuild.
   struct ViewState {
     std::size_t dim = 0;             ///< raw feature count (fixed at batch 1)
-    la::Vector feature_means;        ///< frozen z-scoring map
-    la::Vector feature_inv_stds;
-    la::Matrix anchors;              ///< m × dim, standardized space
-    la::Vector anchor_norms;         ///< ‖a_j‖² per anchor (serving order)
-    la::Matrix anchor_map;           ///< m × k_v out-of-sample extension
+    mvsc::AnchorViewModel model;     ///< frozen anchors, map, z-scoring
+    la::Vector anchor_norms;         ///< RowSquaredNorms(model.anchors)
     std::vector<double> raw;         ///< stride dim — RAW rows (for re-solve)
     std::vector<std::size_t> z_cols; ///< stride s — anchor row indices
     std::vector<double> z_vals;      ///< stride s — anchor row weights
@@ -158,8 +156,11 @@ class StreamingUnifiedMVSC {
 
   Status CheckBatch(const data::MultiViewDataset& batch) const;
   void AppendRaw(const data::MultiViewDataset& batch);
-  /// Extends the frozen model to rows [first_row, rows_) of the window:
-  /// standardize → serving z row → u = z·anchor_map, appended flat.
+  /// Extends the frozen model to rows [first_row, rows_) of the window,
+  /// appended flat: mvsc::ExtendAnchorRows in parallel kAnchorTileRows
+  /// tiles — standardize, graph::AnchorRows (the kernel the full solve's
+  /// BuildAnchorAffinity runs, so an extended row equals the row a full
+  /// solve with the same anchors would build), u = z·anchor_map.
   void ExtendRows(std::size_t first_row);
   void Evict(std::size_t count);
   /// Erases the dead head_ rows from every flat array and resets head_ to 0.

@@ -199,6 +199,13 @@ TEST(LabelIndicatorTest, RowMatMulMatchesMatMulAcrossKcBlocks) {
   }
 }
 
+TEST(LabelIndicatorTest, RowArgmaxTiesKeepTheSmallerIndex) {
+  const std::vector<double> scores = {0.5, 2.0, 2.0, -1.0};
+  EXPECT_EQ(RowArgmax(scores.data(), scores.size()), 1u);
+  const std::vector<double> flat = {3.0, 3.0, 3.0};
+  EXPECT_EQ(RowArgmax(flat.data(), flat.size()), 0u);
+}
+
 TEST(LabelIndicatorTest, ProductsMatchTheDenseIndicator) {
   // n = 1000 spans four kKc row blocks; one column stays empty.
   const std::size_t n = 1000, q = 6, c = 4;

@@ -202,23 +202,118 @@ TEST(AnchorAffinityTest, RowsAreStochasticSortedAndSparse) {
 }
 
 TEST(AnchorAffinityTest, TileSizeDoesNotChangeTheGraph) {
-  la::Matrix x = ClusteredFeatures(83, 3, 19);
-  AnchorOptions selection;
-  selection.num_anchors = 14;
-  StatusOr<la::Matrix> anchors = SelectAnchors(x, selection);
-  ASSERT_TRUE(anchors.ok());
-  AnchorGraphOptions reference_options;
-  StatusOr<la::CsrMatrix> reference =
-      BuildAnchorAffinity(x, *anchors, reference_options);
-  ASSERT_TRUE(reference.ok());
-  for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{32},
-                           std::size_t{64}, std::size_t{4096}}) {
-    AnchorGraphOptions options;
-    options.tile_rows = tile;
-    StatusOr<la::CsrMatrix> got = BuildAnchorAffinity(x, *anchors, options);
-    ASSERT_TRUE(got.ok()) << "tile=" << tile;
-    ExpectBitwiseEqual(*reference, *got);
+  // d = 600 spans three of la::kernel's kc blocks, and tile size 1 runs
+  // every row through AnchorRows' serial-dot branch: its bits must match
+  // the GEMM panel of every other tiling.
+  for (std::size_t d : {std::size_t{3}, std::size_t{600}}) {
+    la::Matrix x = ClusteredFeatures(83, d, 19);
+    AnchorOptions selection;
+    selection.num_anchors = 14;
+    StatusOr<la::Matrix> anchors = SelectAnchors(x, selection);
+    ASSERT_TRUE(anchors.ok());
+    AnchorGraphOptions reference_options;
+    StatusOr<la::CsrMatrix> reference =
+        BuildAnchorAffinity(x, *anchors, reference_options);
+    ASSERT_TRUE(reference.ok());
+    for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{32},
+                             std::size_t{64}, std::size_t{4096}}) {
+      AnchorGraphOptions options;
+      options.tile_rows = tile;
+      StatusOr<la::CsrMatrix> got = BuildAnchorAffinity(x, *anchors, options);
+      ASSERT_TRUE(got.ok()) << "d=" << d << " tile=" << tile;
+      ExpectBitwiseEqual(*reference, *got);
+    }
   }
+}
+
+// Reference row rule, written the straightforward way: full argsort by
+// (distance, anchor index), bandwidth from the s-th nearest, Gaussian
+// weights in rank order scaled by the reciprocal of their sum, emitted in
+// ascending anchor order. (std::sort, not std::stable_sort: this binary
+// replaces operator new, and stable_sort's nothrow buffer would be freed
+// through the replacement.)
+void ReferenceRow(const std::vector<double>& d2, std::size_t s,
+                  std::vector<std::size_t>* cols,
+                  std::vector<double>* weights) {
+  std::vector<std::size_t> order(d2.size());
+  for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return d2[a] != d2[b] ? d2[a] < d2[b] : a < b;
+  });
+  order.resize(s);
+  const double sigma2 = std::max(d2[order[s - 1]], 1e-300);
+  std::vector<double> w(s);
+  double sum = 0.0;
+  for (std::size_t r = 0; r < s; ++r) {
+    w[r] = std::exp(-d2[order[r]] / sigma2);
+    sum += w[r];
+  }
+  const double inv = 1.0 / sum;
+  for (std::size_t r = 0; r < s; ++r) w[r] *= inv;
+  std::vector<std::size_t> rank(s);
+  for (std::size_t r = 0; r < s; ++r) rank[r] = r;
+  std::sort(rank.begin(), rank.end(),
+            [&](std::size_t a, std::size_t b) { return order[a] < order[b]; });
+  cols->clear();
+  weights->clear();
+  for (std::size_t r : rank) {
+    cols->push_back(order[r]);
+    weights->push_back(w[r]);
+  }
+}
+
+TEST(AnchorRowsTest, MatchesTheReferenceRuleUnderTies) {
+  // One feature on a quarter grid: every Gram-expansion distance is exact,
+  // and equal distances (ties) are common.
+  Rng rng(99);
+  for (std::size_t trial = 0; trial < 50; ++trial) {
+    const std::size_t m = 5 + trial % 40;
+    const std::size_t s = 1 + trial % std::min<std::size_t>(m, 8);
+    const std::size_t rows = 1 + trial % 6;
+    la::Matrix anchors(m, 1);
+    for (std::size_t j = 0; j < m; ++j) {
+      anchors(j, 0) = std::floor(rng.Uniform() * 8.0) * 0.25;
+    }
+    std::vector<double> x(rows);
+    for (double& v : x) v = std::floor(rng.Uniform() * 8.0) * 0.25;
+    std::vector<std::size_t> cols(rows * s), ref_cols;
+    std::vector<double> weights(rows * s), ref_weights;
+    AnchorRows(x.data(), rows, anchors, RowSquaredNorms(anchors), s,
+               cols.data(), weights.data());
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::vector<double> d2(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        d2[j] = (x[i] - anchors(j, 0)) * (x[i] - anchors(j, 0));
+      }
+      ReferenceRow(d2, s, &ref_cols, &ref_weights);
+      for (std::size_t r = 0; r < s; ++r) {
+        EXPECT_EQ(cols[i * s + r], ref_cols[r])
+            << "trial " << trial << " row " << i << " slot " << r;
+        EXPECT_EQ(weights[i * s + r], ref_weights[r])
+            << "trial " << trial << " row " << i << " slot " << r;
+      }
+    }
+  }
+}
+
+TEST(AnchorRowsTest, TiesKeepTheSmallerIndex) {
+  // Distances 2, 1, 1, 1, 3 from the origin: the two nearest are the tied
+  // anchors 1 and 2, with equal weights of 1/2.
+  la::Matrix anchors(5, 2);
+  const double coords[5][2] = {{1.0, 1.0}, {1.0, 0.0}, {0.0, -1.0},
+                               {-1.0, 0.0}, {1.0, std::sqrt(2.0)}};
+  for (std::size_t j = 0; j < 5; ++j) {
+    anchors(j, 0) = coords[j][0];
+    anchors(j, 1) = coords[j][1];
+  }
+  const double x[2] = {0.0, 0.0};
+  std::size_t cols[2];
+  double weights[2];
+  AnchorRows(x, 1, anchors, RowSquaredNorms(anchors), 2, cols, weights);
+  EXPECT_EQ(cols[0], 1u);
+  EXPECT_EQ(cols[1], 2u);
+  EXPECT_DOUBLE_EQ(weights[0], 0.5);
+  EXPECT_DOUBLE_EQ(weights[1], 0.5);
 }
 
 TEST(AnchorAffinityTest, ThreadCountDoesNotChangeTheGraph) {

@@ -2,167 +2,131 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <cstring>
 #include <vector>
 
+#include "cluster/anchor_embedding.h"
 #include "common/rng.h"
-#include "la/gemm_kernel.h"
+#include "data/standardize.h"
+#include "graph/anchors.h"
+#include "graph/distance.h"
 #include "la/matrix.h"
-#include "la/ops.h"
 
-namespace umvsc::mvsc::assign {
+namespace umvsc::mvsc {
 namespace {
 
-std::vector<double> RandomDoubles(std::size_t n, std::uint64_t seed) {
+la::Matrix RawFeatures(std::size_t n, std::size_t d, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = rng.Uniform() * 2.0 - 1.0;
-  return out;
-}
-
-// The keystone pin: BlockedDot must reproduce a zero-initialized GemmAdd
-// element bit for bit at EVERY inner dimension — below, at, and across the
-// kernel's kc block edge. If la::kernel ever changes its accumulation grid,
-// this test fails and kGemmKcBlock must move with it.
-TEST(AnchorAssignTest, BlockedDotEqualsAGemmElement) {
-  for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{100},
-                        kGemmKcBlock - 1, kGemmKcBlock, kGemmKcBlock + 1,
-                        std::size_t{1000}, 3 * kGemmKcBlock + 17}) {
-    const std::vector<double> x = RandomDoubles(k, 11 + k);
-    const std::vector<double> y = RandomDoubles(k, 77 + k);
-    double c = 0.0;
-    la::kernel::GemmAdd(1, k, {x.data(), k, false}, {y.data(), 1, false}, &c,
-                        1, 0, 1);
-    EXPECT_EQ(BlockedDot(x.data(), y.data(), k), c) << "k = " << k;
+  la::Matrix x(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      x(i, j) = rng.Gaussian((i % 3) * 2.0 + 0.01 * j, 1.0 + 0.5 * (j % 4));
+    }
   }
+  return x;
 }
 
-TEST(AnchorAssignTest, BlockedDotEqualsPlainDotBelowTheBlockEdge) {
-  // Inside one kc block the grid degenerates to the plain ascending dot —
-  // which is why serving distances equal the training-side scalar dots for
-  // every view with d <= kGemmKcBlock.
-  const std::size_t k = 200;
-  const std::vector<double> x = RandomDoubles(k, 5);
-  const std::vector<double> y = RandomDoubles(k, 6);
-  double plain = 0.0;
-  for (std::size_t p = 0; p < k; ++p) plain += x[p] * y[p];
-  EXPECT_EQ(BlockedDot(x.data(), y.data(), k), plain);
+// One fitted view the way SolveUnifiedAnchors fits it: standardization,
+// anchors, the training graph Z (multi-row GEMM tiles), the anchor map and
+// the training embedding U = Z·anchor_map.
+struct FittedView {
+  la::Matrix raw;
+  AnchorViewModel model;
+  la::Vector anchor_norms;
+  la::CsrMatrix z;
+  la::Matrix embedding;
+};
+
+FittedView FitView(std::size_t d, std::size_t s) {
+  FittedView fv;
+  fv.raw = RawFeatures(150, d, 40 + d);
+  data::ColumnStandardization(fv.raw, &fv.model.feature_means,
+                              &fv.model.feature_inv_stds);
+  const la::Matrix x = data::ApplyStandardization(
+      fv.raw, fv.model.feature_means, fv.model.feature_inv_stds);
+  graph::AnchorOptions aopts;
+  aopts.num_anchors = 24;
+  aopts.seed = 3;
+  StatusOr<la::Matrix> anchors = graph::SelectAnchors(x, aopts);
+  UMVSC_CHECK(anchors.ok(), "anchor selection failed");
+  fv.model.anchors = std::move(*anchors);
+  fv.anchor_norms = graph::RowSquaredNorms(fv.model.anchors);
+  graph::AnchorGraphOptions gopts;
+  gopts.anchor_neighbors = s;
+  gopts.tile_rows = 32;
+  StatusOr<la::CsrMatrix> z = graph::BuildAnchorAffinity(x, fv.model.anchors,
+                                                         gopts);
+  UMVSC_CHECK(z.ok(), "anchor affinity failed");
+  fv.z = std::move(*z);
+  cluster::AnchorEmbeddingOptions eopts;
+  eopts.dims = 5;
+  StatusOr<cluster::AnchorEmbeddingResult> emb =
+      cluster::AnchorSpectralEmbedding(fv.z, eopts);
+  UMVSC_CHECK(emb.ok(), "anchor embedding failed");
+  fv.model.anchor_map = std::move(emb->anchor_map);
+  fv.embedding = std::move(emb->embedding);
+  return fv;
 }
 
-TEST(AnchorAssignTest, BlockedVecMatAddEqualsAMatMulRow) {
-  for (std::size_t p : {std::size_t{3}, std::size_t{60}, kGemmKcBlock + 33}) {
-    const std::size_t c = 7;
-    const std::vector<double> u = RandomDoubles(p, 21 + p);
-    la::Matrix a(p, c);
-    const std::vector<double> av = RandomDoubles(p * c, 22 + p);
-    std::copy(av.begin(), av.end(), a.data());
-
-    la::Matrix u_mat(1, p);
-    std::copy(u.begin(), u.end(), u_mat.data());
-    const la::Matrix expected = la::MatMul(u_mat, a);
-
-    std::vector<double> out(c, 0.0);
-    BlockedVecMatAdd(u.data(), a, out.data());
-    for (std::size_t j = 0; j < c; ++j) {
-      EXPECT_EQ(out[j], expected(0, j)) << "p = " << p << " col " << j;
+// A fitted point and the same point extended as a one-row tile (the serial
+// dot branch of graph::AnchorRows) get the same z row and the same u row,
+// bit for bit — including views wider than la::kernel's 256-wide kc block,
+// where a plain serial dot would differ from the GEMM panel's.
+TEST(AnchorAssignTest, TrainingRowsEqualOneRowExtensions) {
+  const std::size_t s = 4;
+  for (std::size_t d : {std::size_t{8}, std::size_t{300}, std::size_t{600}}) {
+    const FittedView fv = FitView(d, s);
+    const std::size_t k = fv.model.anchor_map.cols();
+    std::vector<std::size_t> cols(s);
+    std::vector<double> weights(s);
+    std::vector<double> u(k);
+    for (std::size_t i = 0; i < fv.raw.rows(); ++i) {
+      ExtendAnchorRows(fv.model, fv.anchor_norms, s, fv.raw.RowPtr(i), 1,
+                       cols.data(), weights.data(), u.data(), k);
+      const std::size_t begin = fv.z.row_offsets()[i];
+      for (std::size_t r = 0; r < s; ++r) {
+        ASSERT_EQ(cols[r], fv.z.col_indices()[begin + r])
+            << "d " << d << " row " << i;
+      }
+      ASSERT_EQ(std::memcmp(weights.data(), fv.z.values().data() + begin,
+                            s * sizeof(double)),
+                0)
+          << "d " << d << " row " << i;
+      ASSERT_EQ(std::memcmp(u.data(), fv.embedding.RowPtr(i),
+                            k * sizeof(double)),
+                0)
+          << "d " << d << " row " << i;
     }
   }
 }
 
-// Reference re-implementation of graph::BuildAnchorAffinity's row rule,
-// written the straightforward way: full argsort by (distance, index),
-// bandwidth from the s-th nearest, Gaussian weights in rank order,
-// normalize, emit in ascending anchor order.
-void ReferenceRow(const std::vector<double>& d2, std::size_t s,
-                  std::vector<std::size_t>* cols,
-                  std::vector<double>* weights) {
-  std::vector<std::size_t> order(d2.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return d2[a] < d2[b]; });
-  order.resize(s);
-  const double sigma2 = std::max(d2[order[s - 1]], 1e-300);
-  std::vector<double> w(s);
-  double sum = 0.0;
-  for (std::size_t r = 0; r < s; ++r) {
-    w[r] = std::exp(-d2[order[r]] / sigma2);
-    sum += w[r];
-  }
-  // Multiply by the reciprocal, as graph::BuildAnchorAffinity does — a
-  // divide would differ in the last bit.
-  const double inv = 1.0 / sum;
-  for (std::size_t r = 0; r < s; ++r) w[r] *= inv;
-  std::vector<std::size_t> rank(s);
-  std::iota(rank.begin(), rank.end(), std::size_t{0});
-  std::sort(rank.begin(), rank.end(),
-            [&](std::size_t a, std::size_t b) { return order[a] < order[b]; });
-  cols->clear();
-  weights->clear();
-  for (std::size_t r : rank) {
-    cols->push_back(order[r]);
-    weights->push_back(w[r]);
-  }
-}
-
-TEST(AnchorAssignTest, SelectAnchorRowMatchesTheReferenceRule) {
-  Rng rng(99);
-  for (std::size_t trial = 0; trial < 50; ++trial) {
-    const std::size_t m = 5 + trial % 40;
-    const std::size_t s = 1 + trial % std::min<std::size_t>(m, 8);
-    std::vector<double> d2(m);
-    for (double& v : d2) {
-      // Quantized distances so exact ties happen often.
-      v = std::floor(rng.Uniform() * 8.0) * 0.25;
-    }
-    std::vector<std::size_t> cols(s), ref_cols;
-    std::vector<double> weights(s), ref_weights;
-    SelectAnchorRow(d2.data(), m, s, cols.data(), weights.data());
-    ReferenceRow(d2, s, &ref_cols, &ref_weights);
+// A many-row tile (the GEMM branch) writes the same z rows as the training
+// graph, and u into a column block of wider rows, overwriting that block
+// and nothing else: the layout of Predict's concatenated coordinates.
+TEST(AnchorAssignTest, TileExtensionWritesAStridedBlock) {
+  const std::size_t s = 3;
+  const FittedView fv = FitView(300, s);
+  const std::size_t n = fv.raw.rows();
+  const std::size_t k = fv.model.anchor_map.cols();
+  const std::size_t stride = k + 2;
+  std::vector<std::size_t> cols(n * s);
+  std::vector<double> weights(n * s);
+  std::vector<double> u(n * stride, 7.0);
+  ExtendAnchorRows(fv.model, fv.anchor_norms, s, fv.raw.data(), n,
+                   cols.data(), weights.data(), u.data() + 1, stride);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(u[i * stride], 7.0);
+    EXPECT_EQ(u[i * stride + k + 1], 7.0);
+    EXPECT_EQ(std::memcmp(u.data() + i * stride + 1, fv.embedding.RowPtr(i),
+                          k * sizeof(double)),
+              0)
+        << "row " << i;
     for (std::size_t r = 0; r < s; ++r) {
-      EXPECT_EQ(cols[r], ref_cols[r]) << "trial " << trial << " slot " << r;
-      EXPECT_EQ(weights[r], ref_weights[r])
-          << "trial " << trial << " slot " << r;
+      EXPECT_EQ(cols[i * s + r], fv.z.col_indices()[i * s + r]);
+      EXPECT_EQ(weights[i * s + r], fv.z.values()[i * s + r]);
     }
-    // Structural invariants: ascending columns, normalized mass.
-    double sum = 0.0;
-    for (std::size_t r = 0; r < s; ++r) {
-      if (r > 0) EXPECT_LT(cols[r - 1], cols[r]);
-      sum += weights[r];
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-12);
   }
-}
-
-TEST(AnchorAssignTest, SelectAnchorRowTiesKeepTheSmallerIndex) {
-  const std::vector<double> d2 = {2.0, 1.0, 1.0, 1.0, 3.0};
-  std::vector<std::size_t> cols(2);
-  std::vector<double> weights(2);
-  SelectAnchorRow(d2.data(), d2.size(), 2, cols.data(), weights.data());
-  EXPECT_EQ(cols[0], 1u);
-  EXPECT_EQ(cols[1], 2u);
-  // Both selected distances equal the bandwidth → equal weights of 1/2.
-  EXPECT_DOUBLE_EQ(weights[0], 0.5);
-  EXPECT_DOUBLE_EQ(weights[1], 0.5);
-}
-
-TEST(AnchorAssignTest, RowSquaredNormIsTheAscendingSum) {
-  const std::vector<double> x = {1.0, -2.0, 3.0};
-  EXPECT_EQ(RowSquaredNorm(x.data(), x.size()), (1.0 + 4.0) + 9.0);
-}
-
-TEST(AnchorAssignTest, RowArgMaxTiesKeepTheSmallerIndex) {
-  const std::vector<double> scores = {0.5, 2.0, 2.0, -1.0};
-  EXPECT_EQ(RowArgMax(scores.data(), scores.size()), 1u);
-  const std::vector<double> flat = {3.0, 3.0, 3.0};
-  EXPECT_EQ(RowArgMax(flat.data(), flat.size()), 0u);
-}
-
-TEST(AnchorAssignTest, SquaredFromDotClampsAtZero) {
-  EXPECT_EQ(SquaredFromDot(1.0, 1.0, 1.0 + 1e-18), 0.0);
-  EXPECT_EQ(SquaredFromDot(4.0, 1.0, 1.0), 3.0);
 }
 
 }  // namespace
-}  // namespace umvsc::mvsc::assign
+}  // namespace umvsc::mvsc

@@ -65,22 +65,28 @@ ModelHandle MakeAnchorHandle(const Fixture& fx) {
 TEST(BatchAssignTest, BatchedLabelsMatchPerPointBitwise) {
   const Fixture fx = MakeFixture(71);
   const ModelHandle handle = MakeAnchorHandle(fx);
-  auto serial = handle->Predict(fx.test);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  // The whole grid: thread counts × tile heights, including a tile of one
-  // row (every point its own GEMM panel) and a prime height that misaligns
-  // every boundary. One bit of divergence anywhere fails the contract.
+  // Each point as its own batch: the one-row tile, whose anchor dots take
+  // the serial kc-grid branch of graph::AnchorRows.
+  std::vector<std::size_t> per_point;
+  for (std::size_t i = 0; i < fx.test.NumSamples(); ++i) {
+    data::MultiViewDataset one;
+    for (const la::Matrix& view : fx.test.views) {
+      one.views.push_back(view.Block(i, 0, 1, view.cols()));
+    }
+    auto label = handle->Predict(one);
+    ASSERT_TRUE(label.ok()) << label.status().ToString();
+    per_point.push_back(label->front());
+  }
+
+  // One call over the whole batch (64-row GEMM tiles plus a short last
+  // tile) at several thread counts. One bit of divergence anywhere fails
+  // the contract.
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ScopedNumThreads scope(threads);
-    for (std::size_t tile : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-      AssignOptions options;
-      options.tile_rows = tile;
-      auto batched = BatchAssigner(handle, options).Assign(fx.test);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      EXPECT_EQ(*batched, *serial)
-          << "threads " << threads << " tile_rows " << tile;
-    }
+    auto batched = BatchAssigner(handle).Assign(fx.test);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_EQ(*batched, per_point) << "threads " << threads;
   }
 }
 

@@ -246,6 +246,40 @@ TEST(StreamingUnifiedTest, FrozenAnchorOracleResolvesEveryBatch) {
   EXPECT_EQ(stream->incremental_updates(), 0u);
 }
 
+TEST(StreamingUnifiedTest, FrozenExtensionEqualsTheFullSolveRows) {
+  // One batch A, ingested three times into a two-batch window with frozen
+  // anchors and a full re-solve on every Ingest. The second solve runs over
+  // [rows the first full solve built; A extended through the frozen model],
+  // the third over [A extended; A extended]. The solves see only the z
+  // rows, so they agree bit for bit exactly when an extended row equals the
+  // row BuildAnchorAffinity built for the same point — here on a view of
+  // 300 features, wider than la::kernel's 256-wide kc block.
+  data::DriftStreamConfig config = StreamConfig();
+  config.views = {{300, data::ViewQuality::kInformative, 0.4},
+                  {9, data::ViewQuality::kInformative, 0.6}};
+  auto gen = data::DriftStreamGenerator::Create(config);
+  ASSERT_TRUE(gen.ok());
+  auto batch = gen->NextBatch();
+  ASSERT_TRUE(batch.ok());
+  StreamingOptions options = BaseOptions();
+  options.window_capacity = 2 * batch->NumSamples();
+  options.always_full_resolve = true;
+  options.reselect_anchors_on_resolve = false;
+  auto stream = StreamingUnifiedMVSC::Create(options);
+  ASSERT_TRUE(stream.ok());
+  std::vector<StreamingUpdateResult> updates;
+  for (int t = 0; t < 3; ++t) {
+    auto update = stream->Ingest(*batch);
+    ASSERT_TRUE(update.ok()) << update.status().ToString();
+    updates.push_back(*std::move(update));
+  }
+  EXPECT_EQ(updates[2].evicted, batch->NumSamples());
+  EXPECT_EQ(updates[1].objective, updates[2].objective);
+  EXPECT_EQ(updates[1].view_smoothness, updates[2].view_smoothness);
+  EXPECT_EQ(updates[1].view_weights, updates[2].view_weights);
+  EXPECT_EQ(updates[1].labels, updates[2].labels);
+}
+
 TEST(StreamingUnifiedTest, FrozenAnchorResolveSurvivesOversizedBatch) {
   // Regression: a batch larger than the window on the full path leaves the
   // model arrays with FEWER than head_ rows at compaction time — the erase
